@@ -614,33 +614,32 @@ std::vector<Result<QueryResult>> EvaluateQueries(
   return results;
 }
 
-Result<UpdateStats> Session::ApplyUpdate(const TupleUpdate& u) {
-  if (mutable_a_ == nullptr) {
+Result<UpdateStats> ApplyUpdate(const TupleUpdate& u, Structure* a,
+                                const EvalOptions& options) {
+  if (a == nullptr || options.context == nullptr) {
     return Status::Unsupported(
         "session is read-only: construct Session(Structure*) to apply "
         "updates");
   }
   ArtifactOptions opts;
-  opts.num_threads = options_.num_threads;
-  opts.metrics = options_.metrics;
-  opts.trace = options_.trace;
-  opts.explain = options_.explain;
-  Result<UpdateStats> stats = context_.ApplyUpdate(mutable_a_, u, opts);
+  opts.num_threads = options.num_threads;
+  opts.metrics = options.metrics;
+  opts.trace = options.trace;
+  opts.explain = options.explain;
+  return options.context->ApplyUpdate(a, u, opts);
+}
+
+Result<UpdateStats> Session::ApplyUpdate(const TupleUpdate& u) {
+  Result<UpdateStats> stats = focq::ApplyUpdate(u, mutable_a_, options_);
   MaybeSampleOpenMetrics();
   return stats;
 }
 
 void Session::MaybeSampleOpenMetrics() {
   if (om_series_ == nullptr) return;
-  const std::int64_t now = UnixMillisNow();
-  if (om_last_sample_ms_ != 0 && om_min_interval_ms_ > 0 &&
-      now - om_last_sample_ms_ < om_min_interval_ms_) {
-    return;
-  }
-  om_last_sample_ms_ = now;
   EvalMetrics snapshot;
   if (options_.metrics != nullptr) snapshot = options_.metrics->Snapshot();
-  om_series_->Sample(now, snapshot, options_.progress);
+  om_series_->Sample(UnixMillisNow(), snapshot, options_.progress);
 }
 
 }  // namespace focq

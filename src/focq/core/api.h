@@ -4,7 +4,10 @@
 #ifndef FOCQ_CORE_API_H_
 #define FOCQ_CORE_API_H_
 
+#include <cstdint>
 #include <span>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "focq/approx/params.h"
@@ -19,6 +22,8 @@
 #include "focq/util/status.h"
 
 namespace focq {
+
+enum class StatementKind : std::uint8_t;  // focq/core/statement.h
 
 /// Which evaluation pipeline to use.
 enum class Engine {
@@ -111,6 +116,14 @@ std::vector<Result<QueryResult>> EvaluateQueries(
     std::span<const Foc1Query> queries, const Structure& a,
     const EvalOptions& options = {});
 
+/// Applies one tuple update to `a` and repairs the artifacts cached in
+/// `options.context` (which must be caching `a`) in place, with the options'
+/// thread count and metrics / trace / explain sinks — see
+/// EvalContext::ApplyUpdate for the full update/invalidate contract. A null
+/// `a` (a read-only target) or context fails with kUnsupported.
+Result<UpdateStats> ApplyUpdate(const TupleUpdate& u, Structure* a,
+                                const EvalOptions& options);
+
 /// A long-lived evaluation session over one structure: the facade for
 /// serving workloads. Owns an EvalContext and threads it through every call,
 /// so N queries pay for each artifact once. The structure must outlive the
@@ -149,6 +162,11 @@ class Session {
   /// (unknown symbol, arity, bounds) leave everything untouched.
   Result<UpdateStats> ApplyUpdate(const TupleUpdate& u);
 
+  /// Parses, checks and executes one statement through ExecuteStatement
+  /// (focq/core/statement.h) with this session's options, context and — on a
+  /// read-write session — structure; returns the canonical response text.
+  Result<std::string> Execute(StatementKind kind, std::string_view text);
+
   Result<bool> ModelCheck(const Formula& sentence) {
     Result<bool> r = focq::ModelCheck(sentence, *a_, options_);
     MaybeSampleOpenMetrics();
@@ -169,28 +187,16 @@ class Session {
     MaybeSampleOpenMetrics();
     return r;
   }
-  std::vector<Result<QueryResult>> EvaluateQueries(
-      std::span<const Foc1Query> queries) {
-    std::vector<Result<QueryResult>> r =
-        focq::EvaluateQueries(queries, *a_, options_);
-    MaybeSampleOpenMetrics();
-    return r;
-  }
 
-  /// Enables periodic OpenMetrics snapshot sampling: after every call routed
-  /// through this session (evaluations and updates alike) the cumulative
-  /// state of the session's metrics sink and progress sink — whichever of
-  /// the two are installed — is appended to `series` as one timestamped
-  /// sample, at most once per `min_interval_ms` (0: every call). The series
-  /// is borrowed, not owned; pass nullptr to stop sampling. No background
-  /// thread is involved: sampling happens at call boundaries only, so a
-  /// session stays single-threaded and the overhead is one clock read per
-  /// call when the interval has not elapsed.
-  void EnableOpenMetricsSampling(OpenMetricsSeries* series,
-                                 std::int64_t min_interval_ms = 0) {
+  /// Enables OpenMetrics snapshot sampling: after every call routed through
+  /// this session (evaluations and updates alike) the cumulative state of
+  /// the session's metrics sink and progress sink — whichever of the two are
+  /// installed — is appended to `series` as one timestamped sample. The
+  /// series is borrowed, not owned; pass nullptr to stop sampling. No
+  /// background thread is involved: sampling happens at call boundaries
+  /// only, so a session stays single-threaded.
+  void EnableOpenMetricsSampling(OpenMetricsSeries* series) {
     om_series_ = series;
-    om_min_interval_ms_ = min_interval_ms;
-    om_last_sample_ms_ = 0;
   }
 
  private:
@@ -201,8 +207,6 @@ class Session {
   EvalOptions options_;
   EvalContext context_;
   OpenMetricsSeries* om_series_ = nullptr;  // not owned; may be null
-  std::int64_t om_min_interval_ms_ = 0;
-  std::int64_t om_last_sample_ms_ = 0;
 };
 
 }  // namespace focq

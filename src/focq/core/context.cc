@@ -187,25 +187,8 @@ Result<UpdateStats> EvalContext::ApplyUpdate(Structure* a,
     return Status::InvalidArgument(
         "ApplyUpdate target is not the structure this context was built over");
   }
-  // Validate before mutating anything (Status, not FOCQ_CHECK: updates are
-  // user input arriving via CLI / corpus files).
-  if (u.symbol >= a->signature().NumSymbols()) {
-    return Status::NotFound("update symbol id " + std::to_string(u.symbol) +
-                            " out of range");
-  }
-  if (static_cast<int>(u.tuple.size()) != a->signature().Arity(u.symbol)) {
-    return Status::InvalidArgument(
-        "update tuple has " + std::to_string(u.tuple.size()) +
-        " elements, expected arity " +
-        std::to_string(a->signature().Arity(u.symbol)));
-  }
-  for (ElemId e : u.tuple) {
-    if (e >= a->universe_size()) {
-      return Status::OutOfRange("update element " + std::to_string(e) +
-                                " outside universe of size " +
-                                std::to_string(a->universe_size()));
-    }
-  }
+  // Validate before mutating anything.
+  FOCQ_RETURN_IF_ERROR(ValidateUpdate(*a, u));
 
   UpdateStats stats;
   const std::size_t n = a->universe_size();

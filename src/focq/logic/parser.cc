@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "focq/logic/build.h"
+#include "focq/util/parse_number.h"
 
 // Local helper: propagate a Status out of a Result-returning function.
 #define FOCQ_RETURN_IF_ERROR_R(expr)                \
@@ -44,7 +45,7 @@ struct Token {
 
 class Lexer {
  public:
-  explicit Lexer(const std::string& text) : text_(text) {}
+  explicit Lexer(std::string_view text) : text_(text) {}
 
   Status Tokenize(std::vector<Token>* out) {
     std::size_t i = 0;
@@ -63,7 +64,11 @@ class Lexer {
           ++i;
         }
         tok.kind = TokKind::kInt;
-        tok.value = std::stoll(text_.substr(start, i - start));
+        if (!ParseNumber(text_.substr(start, i - start), &tok.value)) {
+          return Status::InvalidArgument(
+              "integer literal out of range at offset " +
+              std::to_string(start));
+        }
         out->push_back(tok);
         continue;
       }
@@ -77,7 +82,7 @@ class Lexer {
           ++i;
         }
         tok.kind = TokKind::kIdent;
-        tok.text = text_.substr(start, i - start);
+        tok.text = std::string(text_.substr(start, i - start));
         out->push_back(tok);
         continue;
       }
@@ -117,7 +122,7 @@ class Lexer {
   }
 
  private:
-  const std::string& text_;
+  std::string_view text_;
 };
 
 class Parser {
@@ -386,7 +391,7 @@ class Parser {
 
 }  // namespace
 
-Result<Formula> ParseFormula(const std::string& text,
+Result<Formula> ParseFormula(std::string_view text,
                              const PredicateCollection& preds) {
   std::vector<Token> tokens;
   Status s = Lexer(text).Tokenize(&tokens);
@@ -394,11 +399,11 @@ Result<Formula> ParseFormula(const std::string& text,
   return Parser(std::move(tokens), preds).ParseFormulaToEnd();
 }
 
-Result<Formula> ParseFormula(const std::string& text) {
+Result<Formula> ParseFormula(std::string_view text) {
   return ParseFormula(text, StandardPredicates());
 }
 
-Result<Term> ParseTerm(const std::string& text,
+Result<Term> ParseTerm(std::string_view text,
                        const PredicateCollection& preds) {
   std::vector<Token> tokens;
   Status s = Lexer(text).Tokenize(&tokens);
@@ -406,7 +411,7 @@ Result<Term> ParseTerm(const std::string& text,
   return Parser(std::move(tokens), preds).ParseTermToEnd();
 }
 
-Result<Term> ParseTerm(const std::string& text) {
+Result<Term> ParseTerm(std::string_view text) {
   return ParseTerm(text, StandardPredicates());
 }
 

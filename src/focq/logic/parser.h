@@ -21,7 +21,7 @@
 #ifndef FOCQ_LOGIC_PARSER_H_
 #define FOCQ_LOGIC_PARSER_H_
 
-#include <string>
+#include <string_view>
 
 #include "focq/logic/expr.h"
 #include "focq/logic/numpred.h"
@@ -31,14 +31,14 @@ namespace focq {
 
 /// Parses a formula; numerical predicate names (after '@') are resolved
 /// against `preds`.
-Result<Formula> ParseFormula(const std::string& text,
+Result<Formula> ParseFormula(std::string_view text,
                              const PredicateCollection& preds);
-Result<Formula> ParseFormula(const std::string& text);  // StandardPredicates()
+Result<Formula> ParseFormula(std::string_view text);  // StandardPredicates()
 
 /// Parses a counting term.
-Result<Term> ParseTerm(const std::string& text,
+Result<Term> ParseTerm(std::string_view text,
                        const PredicateCollection& preds);
-Result<Term> ParseTerm(const std::string& text);
+Result<Term> ParseTerm(std::string_view text);
 
 }  // namespace focq
 

@@ -1,15 +1,20 @@
 #include "focq/logic/vars.h"
 
+#include <deque>
+#include <mutex>
 #include <unordered_map>
-#include <vector>
 
 #include "focq/util/check.h"
 
 namespace focq {
 namespace {
 
+// Servers parse and compile statements on many pool workers at once, so the
+// table is locked; names live in a deque so the references VarName hands
+// out survive later growth.
 struct VarTable {
-  std::vector<std::string> names;
+  std::mutex mutex;
+  std::deque<std::string> names;
   std::unordered_map<std::string, Var> ids;
 };
 
@@ -18,10 +23,7 @@ VarTable& Table() {
   return table;
 }
 
-}  // namespace
-
-Var VarNamed(const std::string& name) {
-  VarTable& table = Table();
+Var Intern(VarTable& table, const std::string& name) {
   auto it = table.ids.find(name);
   if (it != table.ids.end()) return it->second;
   Var id = static_cast<Var>(table.names.size());
@@ -30,17 +32,27 @@ Var VarNamed(const std::string& name) {
   return id;
 }
 
+}  // namespace
+
+Var VarNamed(const std::string& name) {
+  VarTable& table = Table();
+  std::lock_guard<std::mutex> lock(table.mutex);
+  return Intern(table, name);
+}
+
 const std::string& VarName(Var v) {
   VarTable& table = Table();
+  std::lock_guard<std::mutex> lock(table.mutex);
   FOCQ_CHECK_LT(v, table.names.size());
   return table.names[v];
 }
 
 Var FreshVar(const std::string& hint) {
   VarTable& table = Table();
+  std::lock_guard<std::mutex> lock(table.mutex);
   for (std::size_t i = table.names.size();; ++i) {
     std::string candidate = hint + "$" + std::to_string(i);
-    if (!table.ids.contains(candidate)) return VarNamed(candidate);
+    if (!table.ids.contains(candidate)) return Intern(table, candidate);
   }
 }
 

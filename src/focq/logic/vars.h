@@ -1,6 +1,7 @@
 // Interned first-order variables. The paper fixes a countably infinite
 // variable set `vars`; we intern names into dense ids so evaluator
-// environments can be flat arrays.
+// environments can be flat arrays. The intern table is process-wide and
+// thread-safe.
 #ifndef FOCQ_LOGIC_VARS_H_
 #define FOCQ_LOGIC_VARS_H_
 

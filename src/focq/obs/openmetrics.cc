@@ -80,6 +80,11 @@ void OpenMetricsSeries::Sample(std::int64_t ts_ms, const EvalMetrics& metrics,
   }
   s.gauges = std::move(gauges);
   std::lock_guard<std::mutex> lock(mutex_);
+  // Per-call sampling can land twice in one millisecond; the format needs
+  // strictly increasing timestamps per series.
+  if (!samples_.empty() && s.ts_ms <= samples_.back().ts_ms) {
+    s.ts_ms = samples_.back().ts_ms + 1;
+  }
   if (samples_.size() >= max_samples_) {
     samples_.erase(samples_.begin());
   }

@@ -64,9 +64,10 @@ class OpenMetricsSeries {
   OpenMetricsSeries& operator=(const OpenMetricsSeries&) = delete;
 
   /// Appends one snapshot. `progress` may be null (then only counters and
-  /// value histograms are rendered). Timestamps should be non-decreasing
-  /// across calls — the renderer emits points in insertion order and the
-  /// format requires increasing timestamps per series.
+  /// value histograms are rendered). The renderer emits points in insertion
+  /// order and the format requires strictly increasing timestamps per
+  /// series, so a `ts_ms` not past the previous sample's is stored as 1 ms
+  /// after it.
   void Sample(std::int64_t ts_ms, const EvalMetrics& metrics,
               const ProgressSink* progress);
 

@@ -8,12 +8,10 @@
 #include <string>
 #include <utility>
 
-#include "focq/logic/fragment.h"
-#include "focq/logic/parser.h"
+#include "focq/core/statement.h"
 #include "focq/obs/openmetrics.h"
 #include "focq/obs/recorder.h"
 #include "focq/serve/socket_util.h"
-#include "focq/structure/update.h"
 #include "focq/util/thread_pool.h"
 
 namespace focq {
@@ -44,6 +42,16 @@ Response ErrorResponse(std::uint32_t id, std::uint64_t seq,
   response.seq = seq;
   response.text = status.ToString();
   return response;
+}
+
+// Dispatch answers ping and shutdown itself; only statement kinds get here.
+StatementKind ToStatementKind(FrameKind kind) {
+  switch (kind) {
+    case FrameKind::kCheck: return StatementKind::kCheck;
+    case FrameKind::kCount: return StatementKind::kCount;
+    case FrameKind::kTerm: return StatementKind::kTerm;
+    default: return StatementKind::kUpdate;
+  }
 }
 
 }  // namespace
@@ -341,7 +349,7 @@ void Server::Dispatch(AdmittedRequest admitted) {
     QueryLogRecord log;
     const std::int64_t exec_start = NowNs();
     Response response =
-        ExecuteUpdate(request, seq, query_log_ != nullptr ? &log : nullptr);
+        Execute(request, seq, query_log_ != nullptr ? &log : nullptr);
     const std::int64_t exec_ns = NowNs() - exec_start;
     gate_.EndWrite();
     FlightRecord(FlightEventKind::kMark, "serve.update.drain.end",
@@ -353,19 +361,8 @@ void Server::Dispatch(AdmittedRequest admitted) {
     const std::int64_t write_ns = NowNs() - write_start;
     TraceLaneSpan("write", admitted.trace_id, kDispatcherLane, write_start,
                   write_ns);
-    if (query_log_ != nullptr) {
-      log.seq = seq;
-      log.client_id = admitted.client_id;
-      log.trace_id = admitted.trace_id;
-      log.decode_ns = admitted.decode_ns;
-      log.queue_ns = queue_ns;
-      log.gate_ns = gate_ns;
-      log.exec_ns = exec_ns;
-      log.write_ns = write_ns;
-      log.total_ns =
-          admitted.recv_ns > 0 ? NowNs() - admitted.recv_ns : exec_ns;
-      query_log_->Append(std::move(log));
-    }
+    AppendQueryLog(std::move(log), admitted, seq, queue_ns, gate_ns, exec_ns,
+                   write_ns);
     return;
   }
 
@@ -393,8 +390,8 @@ void Server::Dispatch(AdmittedRequest admitted) {
         }
         QueryLogRecord log;
         const std::int64_t exec_start = NowNs();
-        Response response = ExecuteRead(
-            admitted.request, seq, query_log_ != nullptr ? &log : nullptr);
+        Response response = Execute(admitted.request, seq,
+                                    query_log_ != nullptr ? &log : nullptr);
         const std::int64_t exec_ns = NowNs() - exec_start;
         if (options_.trace != nullptr) {
           SetParallelForObserver(previous);
@@ -406,19 +403,8 @@ void Server::Dispatch(AdmittedRequest admitted) {
         const std::int64_t write_ns = NowNs() - write_start;
         TraceLaneSpan("write", admitted.trace_id, CurrentWorkerTid(),
                       write_start, write_ns);
-        if (query_log_ != nullptr) {
-          log.seq = seq;
-          log.client_id = admitted.client_id;
-          log.trace_id = admitted.trace_id;
-          log.decode_ns = admitted.decode_ns;
-          log.queue_ns = queue_ns;
-          log.gate_ns = gate_ns;
-          log.exec_ns = exec_ns;
-          log.write_ns = write_ns;
-          log.total_ns =
-              admitted.recv_ns > 0 ? NowNs() - admitted.recv_ns : exec_ns;
-          query_log_->Append(std::move(log));
-        }
+        AppendQueryLog(std::move(log), admitted, seq, queue_ns, gate_ns,
+                       exec_ns, write_ns);
         gate_.EndRead();
         std::lock_guard<std::mutex> lock(inflight_mutex_);
         --inflight_;
@@ -426,13 +412,16 @@ void Server::Dispatch(AdmittedRequest admitted) {
       });
 }
 
-Response Server::ExecuteRead(const Request& request, std::uint64_t seq,
-                             QueryLogRecord* log) {
+Response Server::Execute(const Request& request, std::uint64_t seq,
+                         QueryLogRecord* log) {
   const std::int64_t start_ns = NowNs();
+  // Reads get the per-request deadline and EXPLAIN; an update always runs to
+  // completion, unexplained, against the server sink.
+  const bool read = IsReadStatement(request.kind);
   EvalOptions opts = options_.eval;
   opts.context = &context_;
   opts.metrics = &metrics_;
-  if (options_.deadline_ms > 0) {
+  if (read && options_.deadline_ms > 0) {
     opts.deadline.hard_ms = options_.deadline_ms;
   }
 
@@ -440,8 +429,8 @@ Response Server::ExecuteRead(const Request& request, std::uint64_t seq,
   // request-scoped counters, which need a request-private flat sink (the
   // shared one would interleave concurrent requests); the private counters
   // are folded into the server sink after.
-  const bool explain = (request.flags & kRequestFlagExplain) != 0;
-  const bool private_metrics = explain || log != nullptr;
+  const bool explain = read && (request.flags & kRequestFlagExplain) != 0;
+  const bool private_metrics = read && (explain || log != nullptr);
   MetricsSink request_metrics;
   ExplainSink explain_sink;
   if (log != nullptr) {
@@ -463,48 +452,9 @@ Response Server::ExecuteRead(const Request& request, std::uint64_t seq,
     opts.metrics = &request_metrics;
   }
 
-  Response response;
-  response.id = request.id;
-  response.seq = seq;
-  Status error = Status::Ok();
-  switch (request.kind) {
-    case FrameKind::kTerm: {
-      Result<Term> term = ParseTerm(request.text);
-      if (!term.ok()) { error = term.status(); break; }
-      if (Status symbols = CheckSymbols(*term, a_->signature());
-          !symbols.ok()) {
-        error = symbols;
-        break;
-      }
-      Result<CountInt> value = EvaluateGroundTerm(*term, *a_, opts);
-      if (!value.ok()) { error = value.status(); break; }
-      response.text = std::to_string(static_cast<long long>(*value));
-      break;
-    }
-    case FrameKind::kCheck:
-    case FrameKind::kCount: {
-      Result<Formula> formula = ParseFormula(request.text);
-      if (!formula.ok()) { error = formula.status(); break; }
-      if (Status symbols = CheckSymbols(*formula, a_->signature());
-          !symbols.ok()) {
-        error = symbols;
-        break;
-      }
-      if (request.kind == FrameKind::kCheck) {
-        Result<bool> holds = ModelCheck(*formula, *a_, opts);
-        if (!holds.ok()) { error = holds.status(); break; }
-        response.text = *holds ? "true" : "false";
-      } else {
-        Result<CountInt> count = CountSolutions(*formula, *a_, opts);
-        if (!count.ok()) { error = count.status(); break; }
-        response.text = std::to_string(static_cast<long long>(*count));
-      }
-      break;
-    }
-    default:
-      error = Status::Internal("non-read statement on the read path");
-      break;
-  }
+  Result<std::string> result =
+      ExecuteStatement(ToStatementKind(request.kind), request.text, *a_, opts,
+                       read ? nullptr : a_);
 
   if (private_metrics) {
     // Fold the request-private pipeline counters back into the scrapeable
@@ -530,70 +480,52 @@ Response Server::ExecuteRead(const Request& request, std::uint64_t seq,
     }
   }
   if (log != nullptr) {
-    log->ok = error.ok();
+    log->ok = result.ok();
     log->deadline_exceeded =
-        error.code() == StatusCode::kDeadlineExceeded;
+        result.status().code() == StatusCode::kDeadlineExceeded;
     // Digest over the result text *before* the EXPLAIN appendix: the
     // attribution timings are wall-clock and a replay must still verify.
-    log->digest = Fnv1a64(error.ok() ? response.text : error.ToString());
-  }
-  if (explain && error.ok()) {
-    response.text += "\n" + explain_sink.Snapshot().ToText();
-  }
-
-  const std::int64_t elapsed_ns = NowNs() - start_ns;
-  metrics_.RecordValue("serve.request_ns", elapsed_ns);
-  metrics_.RecordValue(
-      std::string("serve.request_ns.") + FrameKindName(request.kind),
-      elapsed_ns);
-  if (!error.ok()) {
-    metrics_.AddCounter("serve.errors", 1);
-    return ErrorResponse(request.id, seq, error);
-  }
-  return response;
-}
-
-Response Server::ExecuteUpdate(const Request& request, std::uint64_t seq,
-                               QueryLogRecord* log) {
-  const std::int64_t start_ns = NowNs();
-  if (log != nullptr) {
-    log->kind = FrameKindName(request.kind);
-    log->text = request.text;
+    log->digest =
+        Fnv1a64(result.ok() ? *result : result.status().ToString());
   }
   Response response;
   response.id = request.id;
   response.seq = seq;
-  Status error = Status::Ok();
-  Result<TupleUpdate> update = ParseUpdate(request.text, a_->signature());
-  if (!update.ok()) {
-    error = update.status();
-  } else {
-    ArtifactOptions artifact_opts;
-    artifact_opts.num_threads = options_.eval.num_threads;
-    artifact_opts.metrics = &metrics_;
-    Result<UpdateStats> applied =
-        context_.ApplyUpdate(a_, *update, artifact_opts);
-    if (!applied.ok()) {
-      error = applied.status();
-    } else {
-      response.text = applied->changed ? "applied" : "noop";
+  if (result.ok()) {
+    response.text = std::move(result).value();
+    if (explain) {
+      response.text += '\n';
+      response.text += explain_sink.Snapshot().ToText();
     }
   }
-  if (log != nullptr) {
-    log->ok = error.ok();
-    log->deadline_exceeded = error.code() == StatusCode::kDeadlineExceeded;
-    log->digest = Fnv1a64(error.ok() ? response.text : error.ToString());
-  }
+
   const std::int64_t elapsed_ns = NowNs() - start_ns;
   metrics_.RecordValue("serve.request_ns", elapsed_ns);
   metrics_.RecordValue(
       std::string("serve.request_ns.") + FrameKindName(request.kind),
       elapsed_ns);
-  if (!error.ok()) {
+  if (!result.ok()) {
     metrics_.AddCounter("serve.errors", 1);
-    return ErrorResponse(request.id, seq, error);
+    return ErrorResponse(request.id, seq, result.status());
   }
   return response;
+}
+
+void Server::AppendQueryLog(QueryLogRecord log, const AdmittedRequest& admitted,
+                            std::uint64_t seq, std::int64_t queue_ns,
+                            std::int64_t gate_ns, std::int64_t exec_ns,
+                            std::int64_t write_ns) {
+  if (query_log_ == nullptr) return;
+  log.seq = seq;
+  log.client_id = admitted.client_id;
+  log.trace_id = admitted.trace_id;
+  log.decode_ns = admitted.decode_ns;
+  log.queue_ns = queue_ns;
+  log.gate_ns = gate_ns;
+  log.exec_ns = exec_ns;
+  log.write_ns = write_ns;
+  log.total_ns = admitted.recv_ns > 0 ? NowNs() - admitted.recv_ns : exec_ns;
+  query_log_->Append(std::move(log));
 }
 
 void Server::SendToClient(std::uint64_t client_id, const Response& response) {

@@ -113,17 +113,20 @@ class Server {
   /// pool / inline execution.
   void Dispatch(AdmittedRequest admitted);
 
-  /// Evaluates one read statement (check/count/term) — runs on a pool
-  /// worker. Never touches the gate; the caller brackets it. When `log` is
-  /// non-null the execution-side query-log fields are filled (kind, text,
-  /// ok, deadline, cache deltas, digest); the caller owns the timing fields.
-  Response ExecuteRead(const Request& request, std::uint64_t seq,
-                       QueryLogRecord* log);
+  /// Executes one statement through ExecuteStatement (core/statement.h):
+  /// a read (check/count/term) on a pool worker, an update on the dispatcher
+  /// thread. Never touches the gate; the caller brackets it with the shared
+  /// or exclusive side. When `log` is non-null the execution-side query-log
+  /// fields are filled (kind, text, ok, deadline, cache deltas, digest).
+  Response Execute(const Request& request, std::uint64_t seq,
+                   QueryLogRecord* log);
 
-  /// Applies one update statement — runs on the dispatcher thread under the
-  /// exclusive side of the gate.
-  Response ExecuteUpdate(const Request& request, std::uint64_t seq,
-                         QueryLogRecord* log);
+  /// Stamps the admission and stage timings on `log` and appends it to the
+  /// query log; no-op without one.
+  void AppendQueryLog(QueryLogRecord log, const AdmittedRequest& admitted,
+                      std::uint64_t seq, std::int64_t queue_ns,
+                      std::int64_t gate_ns, std::int64_t exec_ns,
+                      std::int64_t write_ns);
 
   /// Lifecycle span helper: no-op without a trace sink.
   void TraceLaneSpan(const char* stage, std::uint64_t trace_id, int tid,

@@ -15,9 +15,8 @@ std::string UpdateToString(const TupleUpdate& u, const Signature& sig) {
   return out.str();
 }
 
-Result<TupleUpdate> ParseUpdate(const std::string& text,
-                                const Signature& sig) {
-  std::istringstream in(text);
+Result<TupleUpdate> ParseUpdate(std::string_view text, const Signature& sig) {
+  std::istringstream in{std::string(text)};
   std::string op;
   if (!(in >> op)) {
     return Status::InvalidArgument("empty update spec");
@@ -66,25 +65,30 @@ Result<TupleUpdate> ParseUpdate(const std::string& text,
   return u;
 }
 
-Result<bool> ApplyToStructure(Structure* a, const TupleUpdate& u) {
-  FOCQ_CHECK(a != nullptr);
-  if (u.symbol >= a->signature().NumSymbols()) {
+Status ValidateUpdate(const Structure& a, const TupleUpdate& u) {
+  if (u.symbol >= a.signature().NumSymbols()) {
     return Status::NotFound("update symbol id " + std::to_string(u.symbol) +
                             " out of range");
   }
-  int arity = a->signature().Arity(u.symbol);
+  int arity = a.signature().Arity(u.symbol);
   if (static_cast<int>(u.tuple.size()) != arity) {
     return Status::InvalidArgument(
         "update tuple has " + std::to_string(u.tuple.size()) +
         " elements, expected arity " + std::to_string(arity));
   }
   for (ElemId e : u.tuple) {
-    if (e >= a->universe_size()) {
+    if (e >= a.universe_size()) {
       return Status::OutOfRange("update element " + std::to_string(e) +
                                 " outside universe of size " +
-                                std::to_string(a->universe_size()));
+                                std::to_string(a.universe_size()));
     }
   }
+  return Status::Ok();
+}
+
+Result<bool> ApplyToStructure(Structure* a, const TupleUpdate& u) {
+  FOCQ_CHECK(a != nullptr);
+  FOCQ_RETURN_IF_ERROR(ValidateUpdate(*a, u));
   if (u.kind == UpdateKind::kInsert) {
     return a->InsertTuple(u.symbol, u.tuple);
   }

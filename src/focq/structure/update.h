@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -41,10 +42,14 @@ std::string UpdateToString(const TupleUpdate& u, const Signature& sig);
 /// Parses the UpdateToString format against `sig`. Errors (unknown symbol,
 /// arity mismatch, malformed element) are reported via Status, not aborts,
 /// so CLI and corpus input stay triageable.
-Result<TupleUpdate> ParseUpdate(const std::string& text, const Signature& sig);
+Result<TupleUpdate> ParseUpdate(std::string_view text, const Signature& sig);
 
-/// Validated application: checks symbol id, arity, and element bounds via
-/// Status (AddTuple-style FOCQ_CHECKs would abort on bad CLI input). Returns
+/// Checks symbol id, arity and element bounds of `u` against `a` via Status
+/// (AddTuple-style FOCQ_CHECKs would abort on bad CLI input). Every update
+/// path validates through this before mutating anything.
+Status ValidateUpdate(const Structure& a, const TupleUpdate& u);
+
+/// Validated application (ValidateUpdate, then the tuple mutation). Returns
 /// whether the structure actually changed — false for duplicate inserts and
 /// deletes of absent tuples.
 Result<bool> ApplyToStructure(Structure* a, const TupleUpdate& u);

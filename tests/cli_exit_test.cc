@@ -23,10 +23,10 @@ struct RunResult {
   std::string output;  // stdout + stderr interleaved
 };
 
-// Runs the CLI, capturing combined output and the exit code. A command that
-// dies on a signal (e.g. an abort) reports exit_code >= 128.
-RunResult RunCli(const std::string& args) {
-  std::string command = std::string(FOCQ_CLI_PATH) + " " + args + " 2>&1";
+// Runs a tool binary, capturing combined output and the exit code. A command
+// that dies on a signal (e.g. an abort) reports exit_code >= 128.
+RunResult RunTool(const std::string& binary, const std::string& args) {
+  std::string command = binary + " " + args + " 2>&1";
   RunResult r;
   FILE* pipe = popen(command.c_str(), "r");
   if (pipe == nullptr) return r;
@@ -41,6 +41,10 @@ RunResult RunCli(const std::string& args) {
     r.exit_code = 128 + WTERMSIG(status);
   }
   return r;
+}
+
+RunResult RunCli(const std::string& args) {
+  return RunTool(FOCQ_CLI_PATH, args);
 }
 
 int CountLines(const std::string& text) {
@@ -243,19 +247,14 @@ TEST_F(CliExitTest, NegativeApproxSeedExitsOne) {
 TEST_F(CliExitTest, FuzzRejectsNegativeSeedWithUsage) {
   // Same stoull wraparound existed in focq_fuzz's parse_u64; a negative
   // seed must be a usage error (exit 2), not a silently huge seed.
-  std::string command = std::string(FOCQ_FUZZ_PATH) +
-                        " --seed -1 --cases 1 2>&1";
-  FILE* pipe = popen(command.c_str(), "r");
-  ASSERT_NE(pipe, nullptr);
-  std::array<char, 512> buffer;
-  std::string output;
-  while (std::fgets(buffer.data(), buffer.size(), pipe) != nullptr) {
-    output += buffer.data();
-  }
-  int status = pclose(pipe);
-  ASSERT_TRUE(WIFEXITED(status));
-  EXPECT_EQ(WEXITSTATUS(status), 2) << output;
-  EXPECT_NE(output.find("usage:"), std::string::npos) << output;
+  RunResult r = RunTool(FOCQ_FUZZ_PATH, "--seed -1 --cases 1");
+  EXPECT_EQ(r.exit_code, 2) << r.output;
+  EXPECT_NE(r.output.find("usage:"), std::string::npos) << r.output;
+
+  // A number with trailing junk is a usage error too, not a 5 s budget.
+  r = RunTool(FOCQ_FUZZ_PATH, "--time-budget 5xyz --cases 1");
+  EXPECT_EQ(r.exit_code, 2) << r.output;
+  EXPECT_NE(r.output.find("usage:"), std::string::npos) << r.output;
 }
 
 // Batch totals count every statement kind. A batch of only failing updates
@@ -285,6 +284,83 @@ TEST_F(CliExitTest, BatchSummaryCountsMixedStatements) {
       << r.output;
   EXPECT_NE(r.output.find("batch: 4 statements, 1 failed"),
             std::string::npos) << r.output;
+}
+
+// A malformed statement in a batch is answered on its line, exactly as
+// focq_serve answers it, and the batch carries on: the serial replay of a
+// served stream must be able to contain one.
+TEST_F(CliExitTest, BatchReportsMalformedStatementsAndContinues) {
+  std::string path4 = (dir_ / "path4.fs").string();
+  std::ofstream(path4) << "universe 4\nrelation E 2\n0 1\n1 2\n2 3\n";
+  std::string batch_path = (dir_ / "malformed.batch").string();
+  std::ofstream(batch_path) << "count E(x, y)\n"
+                               "check (((broken\n"
+                               "count E(x, y)\n"
+                               "update insert Q 0\n"
+                               "count E(x, y)\n";
+  RunResult r = RunCli(path4 + " --batch " + batch_path);
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_NE(r.output.find("line 1: count: 3\n"
+                          "line 2: check: error: INVALID_ARGUMENT: "
+                          "unexpected identifier 'broken' at offset 3\n"
+                          "line 3: count: 3\n"
+                          "line 4: update: error: NOT_FOUND: "
+                          "unknown relation symbol 'Q'\n"
+                          "line 5: count: 3\n"
+                          "batch: 5 statements, 2 failed"),
+            std::string::npos)
+      << r.output;
+
+  // An unknown kind word is still a fatal grammar error.
+  std::ofstream(batch_path) << "count E(x, y)\nbogus E(x, y)\n";
+  r = RunCli(path4 + " --batch " + batch_path);
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_NE(r.output.find("line 2: expected 'check', 'count', 'term' or "
+                          "'update', got 'bogus'"),
+            std::string::npos)
+      << r.output;
+  EXPECT_EQ(r.output.find("batch:"), std::string::npos) << r.output;
+}
+
+// Plain EXPLAIN shows the plan evaluation runs: for a count with free
+// variables that is the counting term #(x, y). phi, exactly what EXPLAIN
+// ANALYZE reports after evaluating it.
+TEST_F(CliExitTest, ExplainAndExplainAnalyzeShowTheSamePlan) {
+  auto plan_line = [](const std::string& output) {
+    const std::size_t start = output.find("plan: ");
+    if (start == std::string::npos) return std::string();
+    const std::size_t end = output.find_first_of("[\n", start);
+    std::string line = output.substr(start, end - start);
+    while (!line.empty() && line.back() == ' ') line.pop_back();
+    return line;
+  };
+  for (const std::string count : {"E(x, y)", "@ge1(#(y). (E(x, y)) - 1)"}) {
+    RunResult plain = RunCli(structure_path_ + " --explain --count '" +
+                             count + "'");
+    RunResult analyzed = RunCli(structure_path_ +
+                                " --explain-analyze --count '" + count + "'");
+    ASSERT_EQ(plain.exit_code, 0) << plain.output;
+    ASSERT_EQ(analyzed.exit_code, 0) << analyzed.output;
+    EXPECT_NE(plan_line(plain.output), "") << plain.output;
+    EXPECT_EQ(plan_line(plain.output), plan_line(analyzed.output))
+        << plain.output << analyzed.output;
+  }
+  // --stats prints the same plan beside the metric the evaluation recorded.
+  RunResult r = RunCli(structure_path_ + " --stats --count 'E(x, y)'");
+  EXPECT_NE(r.output.find("1 basic cl-terms"), std::string::npos) << r.output;
+  EXPECT_NE(r.output.find("metric plan.basic_cl_terms = 1"),
+            std::string::npos)
+      << r.output;
+}
+
+// Every tool takes the shared evaluation flags in both forms: focq_serve
+// used to reject --eps=V with usage. Here it parses, so the run gets as far
+// as loading the (missing) structure and fails there with exit 1.
+TEST_F(CliExitTest, ServeAcceptsEqualsFormOfEvaluationFlags) {
+  RunResult r = RunTool(FOCQ_SERVE_PATH, (dir_ / "missing.fs").string() +
+                                             " --eps=0.2 --engine=approx");
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_EQ(r.output.find("usage:"), std::string::npos) << r.output;
 }
 
 }  // namespace

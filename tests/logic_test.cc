@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "focq/logic/build.h"
 #include "focq/logic/expr.h"
@@ -24,6 +27,30 @@ TEST(Vars, InterningStable) {
   Var f2 = FreshVar("x");
   EXPECT_NE(f1, f2);
   EXPECT_NE(f1, x1);
+}
+
+// Servers parse and compile statements on many pool workers at once: every
+// name must get exactly one id however the interning interleaves, and
+// VarName must read back what was interned.
+TEST(Vars, ParallelInterningIsConsistent) {
+  constexpr int kThreads = 4;
+  constexpr int kNames = 500;
+  std::vector<std::vector<Var>> ids(kThreads, std::vector<Var>(kNames));
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([t, &ids] {
+      for (int i = 0; i < kNames; ++i) {
+        ids[t][i] = VarNamed("parallel_" + std::to_string(i));
+        const Var fresh = FreshVar("parallel_fresh");
+        EXPECT_EQ(VarName(fresh).rfind("parallel_fresh$", 0), 0u);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int i = 0; i < kNames; ++i) {
+    for (int t = 1; t < kThreads; ++t) EXPECT_EQ(ids[t][i], ids[0][i]);
+    EXPECT_EQ(VarName(ids[0][i]), "parallel_" + std::to_string(i));
+  }
 }
 
 TEST(Expr, FreeVarsBasics) {

@@ -445,6 +445,23 @@ TEST(OpenMetricsTest, SeriesIsBoundedByMaxSamples) {
   EXPECT_NE(text.find("focq_ticks_total 10 1"), std::string::npos) << text;
 }
 
+// Session samples once per call, and two calls can finish in the same
+// millisecond: the series must still render strictly increasing timestamps.
+TEST(OpenMetricsTest, RepeatedTimestampsAreMadeStrictlyIncreasing) {
+  MetricsSink metrics;
+  OpenMetricsSeries series;
+  for (int i = 0; i < 3; ++i) {
+    metrics.AddCounter("ticks", 1);
+    series.Sample(5000, metrics.Snapshot(), nullptr);
+  }
+  std::string text = series.Render();
+  EXPECT_NE(text.find("focq_ticks_total 1 5.000\n"
+                      "focq_ticks_total 2 5.001\n"
+                      "focq_ticks_total 3 5.002\n"),
+            std::string::npos)
+      << text;
+}
+
 TEST(OpenMetricsTest, EmptyButRegisteredHistogramRendersZeroedFamily) {
   // A histogram family that is registered but has no samples yet (a server
   // that declared serve.request_ns.update before any update arrived) must
@@ -507,7 +524,7 @@ TEST(OpenMetricsTest, SessionSamplingAppendsOneSamplePerCall) {
 
   Session session(a, defaults);
   OpenMetricsSeries series;
-  session.EnableOpenMetricsSampling(&series, /*min_interval_ms=*/0);
+  session.EnableOpenMetricsSampling(&series);
 
   Formula phi = ScalingCondition();
   for (int i = 0; i < 3; ++i) {

@@ -42,6 +42,26 @@ Structure MakePathStructure(std::size_t n) {
   return a;
 }
 
+struct RunResult {
+  int exit_code = -1;
+  std::string output;  // stdout + stderr
+};
+
+RunResult RunLogreplay(const std::string& args) {
+  const std::string command =
+      std::string(FOCQ_LOGREPLAY_PATH) + " " + args + " 2>&1";
+  RunResult r;
+  FILE* pipe = popen(command.c_str(), "r");
+  if (pipe == nullptr) return r;
+  char buffer[512];
+  while (std::fgets(buffer, sizeof(buffer), pipe) != nullptr) {
+    r.output += buffer;
+  }
+  const int status = pclose(pipe);
+  if (WIFEXITED(status)) r.exit_code = WEXITSTATUS(status);
+  return r;
+}
+
 struct Statement {
   FrameKind kind;
   std::string text;
@@ -179,6 +199,7 @@ TEST(ServeServerTest, ConcurrentMixedWorkloadIsBitIdenticalToSerialReplay) {
           {FrameKind::kUpdate, "insert E 0 99"},  // out of bounds: error
           {FrameKind::kCheck, "(((broken"},       // parse error
           {FrameKind::kUpdate, "delete E 4 5"},
+          {FrameKind::kCheck, "E(x, y)"},  // free variables: eval error
           {FrameKind::kCount, "E(x, y)"},
       },
   };
@@ -584,6 +605,44 @@ TEST_F(ServeQueryLogTest, LogsEveryStatementAndLogreplayVerifiesDigests) {
   EXPECT_NE(output.find("replayed " + std::to_string(total)),
             std::string::npos)
       << output;
+
+  // A record whose kind the server never logs is malformed input: the tool
+  // names its log line instead of replaying it as some other kind.
+  std::string bogus_log = (dir_ / "bogus.log").string();
+  {
+    std::ifstream in(log_path);
+    std::ofstream out(bogus_log);
+    std::string line;
+    int lineno = 0;
+    while (std::getline(in, line)) {
+      if (++lineno == 2) {
+        const std::size_t at = line.find("\"kind\":\"");
+        ASSERT_NE(at, std::string::npos) << line;
+        const std::size_t end = line.find('"', at + 8);
+        line.replace(at + 8, end - (at + 8), "bogus");
+      }
+      out << line << "\n";
+    }
+  }
+  const RunResult bogus = RunLogreplay(structure_path + " " + bogus_log);
+  EXPECT_EQ(bogus.exit_code, 1) << bogus.output;
+  EXPECT_NE(bogus.output.find("line 2: unknown statement kind 'bogus'"),
+            std::string::npos)
+      << bogus.output;
+}
+
+// focq_logreplay shares the evaluation-flag parser of focq_cli, so the
+// --flag=V form works (it used to exit 2 with usage).
+TEST_F(ServeQueryLogTest, LogreplayAcceptsEqualsFormOfThreads) {
+  const std::string structure_path = (dir_ / "structure.focq").string();
+  std::ofstream(structure_path) << WriteStructure(MakePathStructure(4));
+  const std::string log_path = (dir_ / "empty.log").string();
+  std::ofstream(log_path).flush();
+  const RunResult r =
+      RunLogreplay(structure_path + " " + log_path + " --threads=4");
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_NE(r.output.find("replayed 0 records"), std::string::npos)
+      << r.output;
 }
 
 TEST_F(ServeQueryLogTest, SlowMsLogsOnlySlowRequestsToTheFile) {

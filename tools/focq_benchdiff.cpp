@@ -36,6 +36,7 @@
 #include <string>
 
 #include "focq/obs/benchdiff.h"
+#include "focq/util/parse_number.h"
 
 namespace {
 
@@ -82,24 +83,35 @@ int main(int argc, char** argv) {
     }
     return argv[i + 1];
   };
+  // Strict: "abc" or "40x" is a usage error, never a silent 0% or 40%.
+  auto need_number = [&](int i) -> double {
+    const char* value = need_value(i);
+    double number = 0.0;
+    if (!focq::ParseNumber(value, &number)) {
+      std::cerr << "focq_benchdiff: " << argv[i] << " expects a number, got '"
+                << value << "'\n";
+      std::exit(2);
+    }
+    return number;
+  };
 
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strcmp(arg, "--time-threshold") == 0) {
-      options.time_threshold = std::atof(need_value(i));
+      options.time_threshold = need_number(i);
       ++i;
     } else if (std::strcmp(arg, "--warn-pct") == 0) {
-      options.time_threshold = std::atof(need_value(i)) / 100.0;
+      options.time_threshold = need_number(i) / 100.0;
       ++i;
     } else if (std::strcmp(arg, "--fail-pct") == 0) {
-      fail_pct = std::atof(need_value(i));
+      fail_pct = need_number(i);
       ++i;
       if (fail_pct < 0) {
         std::cerr << "focq_benchdiff: --fail-pct expects a percentage >= 0\n";
         return 2;
       }
     } else if (std::strcmp(arg, "--counter-threshold") == 0) {
-      options.counter_threshold = std::atof(need_value(i));
+      options.counter_threshold = need_number(i);
       ++i;
     } else if (std::strcmp(arg, "--format") == 0) {
       format = need_value(i);

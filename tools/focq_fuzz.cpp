@@ -60,7 +60,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <exception>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -70,6 +69,7 @@
 #include "focq/testing/case_io.h"
 #include "focq/testing/differential.h"
 #include "focq/testing/shrink.h"
+#include "focq/util/parse_number.h"
 #include "focq/util/rng.h"
 
 namespace {
@@ -431,67 +431,41 @@ int main(int argc, char** argv) {
     auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
-    auto parse_u64 = [&](const char* v, std::uint64_t* out) {
-      if (v == nullptr) return false;
-      // Digits only: std::stoull accepts a leading '-' and wraps, which
-      // would turn "--seed -1" into a huge seed instead of a usage error.
-      std::string text(v);
-      if (text.empty() ||
-          text.find_first_not_of("0123456789") != std::string::npos) {
-        return false;
-      }
-      try {
-        std::size_t pos = 0;
-        *out = std::stoull(text, &pos);
-        return pos == text.size();
-      } catch (const std::exception&) {
-        return false;
-      }
+    // Strict whole-text numbers: "--seed -1" is a usage error, never a
+    // wrapped huge seed, and "--time-budget 5xyz" never a 5 s budget.
+    auto parse = [](const char* v, auto* out) {
+      return v != nullptr && ParseNumber(v, out);
     };
     if (arg == "--seed") {
-      if (!parse_u64(next(), &seed)) return Usage();
+      if (!parse(next(), &seed)) return Usage();
     } else if (arg == "--cases") {
       std::uint64_t v = 0;
-      if (!parse_u64(next(), &v)) return Usage();
+      if (!parse(next(), &v)) return Usage();
       cases = static_cast<std::size_t>(v);
     } else if (arg == "--max-universe") {
       std::uint64_t v = 0;
-      if (!parse_u64(next(), &v) || v < 1) return Usage();
+      if (!parse(next(), &v) || v < 1) return Usage();
       max_universe = static_cast<std::size_t>(v);
     } else if (arg == "--updates") {
       std::uint64_t v = 0;
-      if (!parse_u64(next(), &v)) return Usage();
+      if (!parse(next(), &v)) return Usage();
       updates = static_cast<std::size_t>(v);
     } else if (arg == "--soft-deadline-ms") {
-      if (!parse_u64(next(), &soft_deadline_max_ms)) return Usage();
+      if (!parse(next(), &soft_deadline_max_ms)) return Usage();
     } else if (arg == "--engine") {
       const char* v = next();
       if (v == nullptr) return Usage();
       engine_name = v;
-    } else if (arg == "--eps" || arg == "--delta") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      double* out = arg == "--eps" ? &approx_params.eps : &approx_params.delta;
-      try {
-        std::size_t pos = 0;
-        *out = std::stod(v, &pos);
-        if (pos != std::string(v).size()) return Usage();
-      } catch (const std::exception&) {
-        return Usage();
-      }
+    } else if (arg == "--eps") {
+      if (!parse(next(), &approx_params.eps)) return Usage();
+    } else if (arg == "--delta") {
+      if (!parse(next(), &approx_params.delta)) return Usage();
     } else if (arg == "--approx-seed") {
-      if (!parse_u64(next(), &approx_params.seed)) return Usage();
+      if (!parse(next(), &approx_params.seed)) return Usage();
     } else if (arg == "--trials") {
-      if (!parse_u64(next(), &trials)) return Usage();
+      if (!parse(next(), &trials)) return Usage();
     } else if (arg == "--time-budget") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      try {
-        time_budget_s = std::stod(v);
-      } catch (const std::exception&) {
-        return Usage();
-      }
-      if (time_budget_s < 0) return Usage();
+      if (!parse(next(), &time_budget_s) || time_budget_s < 0) return Usage();
     } else if (arg == "--class") {
       const char* v = next();
       if (v == nullptr) return Usage();
@@ -513,7 +487,7 @@ int main(int argc, char** argv) {
       corpus_dir = v;
     } else if (arg == "--frames") {
       std::uint64_t v = 0;
-      if (!parse_u64(next(), &v) || v < 1) return Usage();
+      if (!parse(next(), &v) || v < 1) return Usage();
       frames = static_cast<std::size_t>(v);
     } else if (arg == "--self-test") {
       self_test = true;

@@ -11,16 +11,20 @@
 // The log records carry the server's global admission sequence numbers, so
 // sorting them by seq reconstructs exactly the serial order the multi-client
 // interleaving is bit-identical to (the §3g contract). The tool replays that
-// order through one read-write Session over a fresh load of the structure —
-// the same statement semantics as the server's execution paths and focq_cli
-// --batch — digests each response text with Fnv1a64 and compares against the
-// logged digest.
+// order through Session::Execute on one read-write Session over a fresh load
+// of the structure — the one statement path (focq/core/statement.h) the
+// server and focq_cli --batch also run — digests each response text with
+// Fnv1a64 and compares against the logged digest. A record whose kind is not
+// check/count/term/update is malformed (the server never logs one): the tool
+// exits 1 naming its log line.
 //
 //   --batch-out FILE  also write the reconstructed stream in the focq_cli
 //                     --batch grammar ("<kind> <text>" per line, seq order)
 //   --verbose         print one line per record instead of only mismatches
-//   --engine etc.     must match the serving configuration, or counts that
-//                     depend on the engine contract (approx) will differ
+//   --engine etc.     as in focq_cli and focq_serve (same parser, both the
+//                     "--flag V" and "--flag=V" forms); must match the
+//                     serving configuration, or counts that depend on the
+//                     engine contract (approx) will differ
 //
 // Caveats, by construction of the log:
 //   * records with deadline=true are skipped (a deadline expiry depends on
@@ -35,18 +39,13 @@
 // Exits 0 iff every verified digest matched.
 #include <algorithm>
 #include <cstdio>
-#include <exception>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "focq/core/api.h"
-#include "focq/logic/fragment.h"
-#include "focq/logic/parser.h"
+#include "flags.h"
+#include "focq/core/statement.h"
 #include "focq/obs/querylog.h"
-#include "focq/structure/io.h"
-#include "focq/structure/update.h"
 
 namespace {
 
@@ -67,58 +66,6 @@ int Usage() {
   return 2;
 }
 
-bool ParseU64(const std::string& text, std::uint64_t* out) {
-  if (text.empty() ||
-      text.find_first_not_of("0123456789") != std::string::npos) {
-    return false;
-  }
-  try {
-    std::size_t pos = 0;
-    *out = std::stoull(text, &pos);
-    return pos == text.size();
-  } catch (const std::exception&) {
-    return false;
-  }
-}
-
-// The server's statement semantics (= focq_cli --batch, = the serial oracle
-// of serve_server_test): one Session, errors render as Status::ToString().
-std::string Replay(focq::Session* session, const focq::QueryLogRecord& r) {
-  using namespace focq;
-  const Signature& sig = session->structure().signature();
-  if (r.kind == "update") {
-    Result<TupleUpdate> update = ParseUpdate(r.text, sig);
-    if (!update.ok()) return update.status().ToString();
-    Result<UpdateStats> applied = session->ApplyUpdate(*update);
-    if (!applied.ok()) return applied.status().ToString();
-    return applied->changed ? "applied" : "noop";
-  }
-  if (r.kind == "term") {
-    Result<Term> term = ParseTerm(r.text);
-    if (!term.ok()) return term.status().ToString();
-    if (Status symbols = CheckSymbols(*term, sig); !symbols.ok()) {
-      return symbols.ToString();
-    }
-    Result<CountInt> value = session->EvaluateGroundTerm(*term);
-    if (!value.ok()) return value.status().ToString();
-    return std::to_string(static_cast<long long>(*value));
-  }
-  // check / count
-  Result<Formula> formula = ParseFormula(r.text);
-  if (!formula.ok()) return formula.status().ToString();
-  if (Status symbols = CheckSymbols(*formula, sig); !symbols.ok()) {
-    return symbols.ToString();
-  }
-  if (r.kind == "check") {
-    Result<bool> holds = session->ModelCheck(*formula);
-    if (!holds.ok()) return holds.status().ToString();
-    return *holds ? "true" : "false";
-  }
-  Result<CountInt> count = session->CountSolutions(*formula);
-  if (!count.ok()) return count.status().ToString();
-  return std::to_string(static_cast<long long>(*count));
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -127,81 +74,22 @@ int main(int argc, char** argv) {
   const std::string structure_path = argv[1];
   const std::string log_path = argv[2];
 
-  bool edges = false, verbose = false;
+  EvalFlags eval_flags;
+  bool verbose = false;
   std::string batch_out;
-  EvalOptions eval;
-  std::string engine_name = "local";
-  for (int i = 3; i < argc; ++i) {
-    std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    auto parse_prob = [](const char* text, double* out) -> bool {
-      if (text == nullptr) return false;
-      try {
-        std::size_t pos = 0;
-        *out = std::stod(text, &pos);
-        return pos == std::string(text).size();
-      } catch (const std::exception&) {
-        return false;
-      }
-    };
-    if (arg == "--edges") {
-      edges = true;
-    } else if (arg == "--verbose") {
+  ArgReader args(argc, argv, 3);
+  while (args.Next()) {
+    if (eval_flags.Consume(&args)) continue;
+    if (args.Flag("--verbose")) {
       verbose = true;
-    } else if (arg == "--engine") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      engine_name = v;
-    } else if (arg == "--threads") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      try {
-        std::size_t pos = 0;
-        eval.num_threads = std::stoi(v, &pos);
-        if (pos != std::string(v).size() || eval.num_threads < 0) {
-          return Fail("--threads expects a non-negative integer");
-        }
-      } catch (const std::exception&) {
-        return Fail("--threads expects a non-negative integer");
-      }
-    } else if (arg == "--eps") {
-      if (!parse_prob(next(), &eval.approx.eps)) {
-        return Fail("--eps expects a number in (0, 1)");
-      }
-    } else if (arg == "--delta") {
-      if (!parse_prob(next(), &eval.approx.delta)) {
-        return Fail("--delta expects a number in (0, 1)");
-      }
-    } else if (arg == "--approx-seed") {
-      const char* v = next();
-      if (v == nullptr || !ParseU64(v, &eval.approx.seed)) {
-        return Fail("--approx-seed expects a non-negative integer");
-      }
-    } else if (arg == "--approx-stratify") {
-      eval.approx.stratify = true;
-    } else if (arg == "--batch-out") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      batch_out = v;
-    } else if (arg.rfind("--batch-out=", 0) == 0) {
-      batch_out = arg.substr(std::string("--batch-out=").size());
-    } else {
+    } else if (!args.Value("--batch-out", &batch_out)) {
       return Usage();
     }
   }
-  if (engine_name == "naive") {
-    eval.engine = Engine::kNaive;
-  } else if (engine_name == "local") {
-    eval.engine = Engine::kLocal;
-  } else if (engine_name == "cover") {
-    eval.engine = Engine::kLocal;
-    eval.term_engine = TermEngine::kSparseCover;
-  } else if (engine_name == "approx") {
-    eval.engine = Engine::kApprox;
-  } else {
-    return Fail("unknown engine '" + engine_name + "'");
+  if (!args.ok()) return Usage();
+  EvalOptions eval;
+  if (Status valid = eval_flags.Apply(&eval); !valid.ok()) {
+    return Fail(valid.message());
   }
 
   // ---- parse the log -------------------------------------------------------
@@ -217,6 +105,10 @@ int main(int argc, char** argv) {
     if (!record.ok()) {
       return Fail("line " + std::to_string(lineno) + ": " +
                   record.status().ToString());
+    }
+    if (!ParseStatementKind(record->kind).has_value()) {
+      return Fail("line " + std::to_string(lineno) +
+                  ": unknown statement kind '" + record->kind + "'");
     }
     records.push_back(std::move(record).value());
   }
@@ -235,20 +127,17 @@ int main(int argc, char** argv) {
   }
 
   // ---- load the structure and replay ---------------------------------------
-  Result<Structure> structure = [&]() -> Result<Structure> {
-    if (!edges) return ReadStructureFile(structure_path);
-    std::ifstream sf(structure_path);
-    if (!sf) return Status::NotFound("cannot open '" + structure_path + "'");
-    std::ostringstream buffer;
-    buffer << sf.rdbuf();
-    return ReadEdgeList(buffer.str());
-  }();
+  Result<Structure> structure = eval_flags.LoadStructure(structure_path);
   if (!structure.ok()) return Fail(structure.status().ToString());
 
   Session session(&structure.value(), eval);
   std::size_t verified = 0, mismatches = 0, skipped = 0;
   for (const QueryLogRecord& r : records) {
-    const std::string text = Replay(&session, r);
+    // Every kind was validated when the log was read.
+    Result<std::string> result =
+        session.Execute(*ParseStatementKind(r.kind), r.text);
+    const std::string text =
+        result.ok() ? *result : result.status().ToString();
     if (r.deadline_exceeded) {
       // Wall-clock dependent outcome; the statement was still replayed (an
       // update may have partially applied state the later stream needs).

@@ -14,9 +14,11 @@
 //   grammar; reads share one EvalContext under snapshot semantics and fan
 //   out per cover cluster on the shared work-stealing pool; an update drains
 //   in-flight reads, repairs the cached artifacts incrementally and
-//   readmits. Responses carry the global admission sequence number: for any
-//   interleaving, replaying all statements serially in seq order through one
-//   Session reproduces every response bit for bit.
+//   readmits. Every statement runs through ExecuteStatement
+//   (src/focq/core/statement.h), the one statement path focq_cli --batch and
+//   focq_logreplay also take. Responses carry the global admission sequence
+//   number: for any interleaving, replaying all statements serially in seq
+//   order through one Session reproduces every response bit for bit.
 //
 //   Prints "serving on 127.0.0.1:<port>" (and "metrics on ..." when
 //   --metrics-port is given; that port answers HTTP scrapes with an
@@ -37,8 +39,12 @@
 //   --flight-record enable the flight recorder; its ring (connection
 //                  open/close, queue backpressure, update drains, phases) is
 //                  dumped to FILE at shutdown
-//   --engine, --threads, --eps, --delta, --approx-seed, --approx-stratify:
-//                  as in focq_cli, applied to every request
+//   --edges, --engine, --threads, --eps, --delta, --approx-seed,
+//   --approx-stratify:
+//                  as in focq_cli and focq_logreplay (one shared parser),
+//                  applied to every request
+//
+//   Every valued flag takes both the "--flag V" and the "--flag=V" form.
 //
 // Client mode:
 //   focq_serve --client PORT [--batch FILE] [--explain] [--ping]
@@ -57,18 +63,17 @@
 //   first; --shutdown asks the server to exit after the batch. Exits 0 iff
 //   every response was ok.
 #include <cstdio>
-#include <exception>
 #include <fstream>
 #include <map>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "flags.h"
 #include "focq/obs/recorder.h"
 #include "focq/serve/protocol.h"
 #include "focq/serve/server.h"
 #include "focq/serve/socket_util.h"
-#include "focq/structure/io.h"
+#include "focq/util/parse_number.h"
 
 namespace {
 
@@ -91,32 +96,6 @@ int Usage() {
       "[--shutdown]\n"
       "                  [--trace-base N]\n");
   return 2;
-}
-
-// Digit-only unsigned parse: std::stoull alone would accept a leading '-'
-// and wrap (the focq_cli --approx-seed bug this PR fixes).
-bool ParseU64(const std::string& text, std::uint64_t* out) {
-  if (text.empty() ||
-      text.find_first_not_of("0123456789") != std::string::npos) {
-    return false;
-  }
-  try {
-    std::size_t pos = 0;
-    *out = std::stoull(text, &pos);
-    return pos == text.size();
-  } catch (const std::exception&) {
-    return false;
-  }
-}
-
-bool ParseI64(const std::string& text, std::int64_t* out) {
-  try {
-    std::size_t pos = 0;
-    *out = std::stoll(text, &pos);
-    return pos == text.size() && *out >= 0;
-  } catch (const std::exception&) {
-    return false;
-  }
 }
 
 struct Statement {
@@ -256,45 +235,30 @@ int main(int argc, char** argv) {
   if (std::string(argv[1]) == "--client") {
     if (argc < 3) return Usage();
     std::uint64_t port = 0;
-    if (!ParseU64(argv[2], &port) || port == 0 || port > 65535) {
+    if (!ParseNumber(argv[2], &port) || port == 0 || port > 65535) {
       return Fail("--client expects a port number");
     }
-    std::string batch_path;
+    std::string batch_path, trace_base_text;
     bool explain = false, ping = false, shutdown = false;
     bool has_trace_base = false;
-    std::uint64_t trace_base = 0;
-    for (int i = 3; i < argc; ++i) {
-      std::string arg = argv[i];
-      auto next = [&]() -> const char* {
-        return i + 1 < argc ? argv[++i] : nullptr;
-      };
-      if (arg == "--batch") {
-        const char* v = next();
-        if (v == nullptr) return Usage();
-        batch_path = v;
-      } else if (arg.rfind("--batch=", 0) == 0) {
-        batch_path = arg.substr(std::string("--batch=").size());
-      } else if (arg == "--explain") {
+    ArgReader args(argc, argv, 3);
+    while (args.Next()) {
+      if (args.Flag("--explain")) {
         explain = true;
-      } else if (arg == "--ping") {
+      } else if (args.Flag("--ping")) {
         ping = true;
-      } else if (arg == "--shutdown") {
+      } else if (args.Flag("--shutdown")) {
         shutdown = true;
-      } else if (arg == "--trace-base") {
-        const char* v = next();
-        if (v == nullptr || !ParseU64(v, &trace_base)) {
-          return Fail("--trace-base expects a non-negative integer");
-        }
+      } else if (args.Value("--trace-base", &trace_base_text)) {
         has_trace_base = true;
-      } else if (arg.rfind("--trace-base=", 0) == 0) {
-        if (!ParseU64(arg.substr(std::string("--trace-base=").size()),
-                      &trace_base)) {
-          return Fail("--trace-base expects a non-negative integer");
-        }
-        has_trace_base = true;
-      } else {
+      } else if (!args.Value("--batch", &batch_path)) {
         return Usage();
       }
+    }
+    if (!args.ok()) return Usage();
+    std::uint64_t trace_base = 0;
+    if (has_trace_base && !ParseNumber(trace_base_text, &trace_base)) {
+      return Fail("--trace-base expects a non-negative integer");
     }
     return RunClient(static_cast<std::uint16_t>(port), batch_path, explain,
                      ping, shutdown, has_trace_base, trace_base);
@@ -302,166 +266,53 @@ int main(int argc, char** argv) {
 
   // ---- server mode ---------------------------------------------------------
   std::string path = argv[1];
-  bool edges = false;
+  EvalFlags eval_flags;
   serve::ServeOptions serve_options;
-  std::string engine_name = "local";
-  std::string threads_text = "1";
-  std::string eps_text = "0.1", delta_text = "0.01", approx_seed_text = "1";
   std::string port_text = "0", metrics_port_text, deadline_text = "0";
   std::string slow_ms_text = "0";
   std::string trace_json_path, flight_record_path;
-  for (int i = 2; i < argc; ++i) {
-    std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (arg == "--edges") {
-      edges = true;
-    } else if (arg == "--engine") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      engine_name = v;
-    } else if (arg == "--threads") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      threads_text = v;
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      threads_text = arg.substr(std::string("--threads=").size());
-    } else if (arg == "--port") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      port_text = v;
-    } else if (arg.rfind("--port=", 0) == 0) {
-      port_text = arg.substr(std::string("--port=").size());
-    } else if (arg == "--metrics-port") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      metrics_port_text = v;
-    } else if (arg.rfind("--metrics-port=", 0) == 0) {
-      metrics_port_text = arg.substr(std::string("--metrics-port=").size());
-    } else if (arg == "--deadline-ms") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      deadline_text = v;
-    } else if (arg.rfind("--deadline-ms=", 0) == 0) {
-      deadline_text = arg.substr(std::string("--deadline-ms=").size());
-    } else if (arg == "--query-log") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      serve_options.query_log_path = v;
-    } else if (arg.rfind("--query-log=", 0) == 0) {
-      serve_options.query_log_path =
-          arg.substr(std::string("--query-log=").size());
-    } else if (arg == "--slow-ms") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      slow_ms_text = v;
-    } else if (arg.rfind("--slow-ms=", 0) == 0) {
-      slow_ms_text = arg.substr(std::string("--slow-ms=").size());
-    } else if (arg == "--trace-json") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      trace_json_path = v;
-    } else if (arg.rfind("--trace-json=", 0) == 0) {
-      trace_json_path = arg.substr(std::string("--trace-json=").size());
-    } else if (arg == "--flight-record") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      flight_record_path = v;
-    } else if (arg.rfind("--flight-record=", 0) == 0) {
-      flight_record_path = arg.substr(std::string("--flight-record=").size());
-    } else if (arg == "--eps") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      eps_text = v;
-    } else if (arg == "--delta") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      delta_text = v;
-    } else if (arg == "--approx-seed") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      approx_seed_text = v;
-    } else if (arg == "--approx-stratify") {
-      serve_options.eval.approx.stratify = true;
-    } else {
+  ArgReader args(argc, argv, 2);
+  while (args.Next()) {
+    if (eval_flags.Consume(&args)) continue;
+    if (!args.Value("--port", &port_text) &&
+        !args.Value("--metrics-port", &metrics_port_text) &&
+        !args.Value("--deadline-ms", &deadline_text) &&
+        !args.Value("--query-log", &serve_options.query_log_path) &&
+        !args.Value("--slow-ms", &slow_ms_text) &&
+        !args.Value("--trace-json", &trace_json_path) &&
+        !args.Value("--flight-record", &flight_record_path)) {
       return Usage();
     }
   }
+  if (!args.ok()) return Usage();
 
-  try {
-    std::size_t pos = 0;
-    serve_options.eval.num_threads = std::stoi(threads_text, &pos);
-    if (pos != threads_text.size() || serve_options.eval.num_threads < 0) {
-      return Fail("--threads expects a non-negative integer");
-    }
-  } catch (const std::exception&) {
-    return Fail("--threads expects a non-negative integer");
+  if (Status valid = eval_flags.Apply(&serve_options.eval); !valid.ok()) {
+    return Fail(valid.message());
   }
   std::uint64_t port = 0;
-  if (!ParseU64(port_text, &port) || port > 65535) {
+  if (!ParseNumber(port_text, &port) || port > 65535) {
     return Fail("--port expects a port number");
   }
   serve_options.port = static_cast<std::uint16_t>(port);
   if (!metrics_port_text.empty()) {
     std::uint64_t metrics_port = 0;
-    if (!ParseU64(metrics_port_text, &metrics_port) || metrics_port > 65535) {
+    if (!ParseNumber(metrics_port_text, &metrics_port) ||
+        metrics_port > 65535) {
       return Fail("--metrics-port expects a port number");
     }
     serve_options.metrics_port = static_cast<int>(metrics_port);
   }
-  if (!ParseI64(deadline_text, &serve_options.deadline_ms)) {
+  if (!ParseNumber(deadline_text, &serve_options.deadline_ms)) {
     return Fail("--deadline-ms expects a non-negative integer");
   }
-  if (!ParseI64(slow_ms_text, &serve_options.slow_ms)) {
+  if (!ParseNumber(slow_ms_text, &serve_options.slow_ms)) {
     return Fail("--slow-ms expects a non-negative integer");
   }
   if (serve_options.slow_ms > 0 && serve_options.query_log_path.empty()) {
     return Fail("--slow-ms requires --query-log");
   }
-  if (engine_name == "naive") {
-    serve_options.eval.engine = Engine::kNaive;
-  } else if (engine_name == "local") {
-    serve_options.eval.engine = Engine::kLocal;
-  } else if (engine_name == "cover") {
-    serve_options.eval.engine = Engine::kLocal;
-    serve_options.eval.term_engine = TermEngine::kSparseCover;
-  } else if (engine_name == "approx") {
-    serve_options.eval.engine = Engine::kApprox;
-  } else {
-    return Fail("unknown engine '" + engine_name + "'");
-  }
-  auto parse_prob = [](const std::string& text, double* out) -> bool {
-    try {
-      std::size_t pos = 0;
-      *out = std::stod(text, &pos);
-      return pos == text.size();
-    } catch (const std::exception&) {
-      return false;
-    }
-  };
-  if (!parse_prob(eps_text, &serve_options.eval.approx.eps)) {
-    return Fail("--eps expects a number in (0, 1)");
-  }
-  if (!parse_prob(delta_text, &serve_options.eval.approx.delta)) {
-    return Fail("--delta expects a number in (0, 1)");
-  }
-  if (!ParseU64(approx_seed_text, &serve_options.eval.approx.seed)) {
-    return Fail("--approx-seed expects a non-negative integer");
-  }
-  if (Status valid = ValidateApproxParams(serve_options.eval.approx);
-      !valid.ok()) {
-    return Fail(valid.message());
-  }
 
-  Result<Structure> structure = [&]() -> Result<Structure> {
-    if (!edges) return ReadStructureFile(path);
-    std::ifstream in(path);
-    if (!in) return Status::NotFound("cannot open '" + path + "'");
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    return ReadEdgeList(buffer.str());
-  }();
+  Result<Structure> structure = eval_flags.LoadStructure(path);
   if (!structure.ok()) return Fail(structure.status().ToString());
   std::printf("structure: %zu elements, ||A|| = %zu\n", structure->Order(),
               structure->SizeNorm());

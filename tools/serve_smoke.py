@@ -3,7 +3,8 @@
 
 Starts focq_serve over a small structure, drives several concurrent
 `focq_serve --client` processes with mixed batches (checks, counts, terms
-and updates — including one statement that fails), then:
+and updates — including statements that fail to apply, to parse and to
+resolve a symbol), then:
 
   1. collects every response line `seq S req I <kind>: <text>`,
   2. asserts the admission sequence numbers form a total order,
@@ -52,8 +53,10 @@ relation E 2
 
 # Three clients, mixed workloads. Updates are included on purpose — they
 # force the snapshot gate's writer side between concurrent reads — and so
-# is one statement that fails at apply time (element 50 is out of bounds),
-# because error texts are part of the bit-identity contract.
+# are statements that fail: at apply time (element 50 is out of bounds), at
+# parse time and at symbol resolution (there is no relation Q), because
+# error texts are part of the bit-identity contract and the serial
+# focq_cli --batch replay must answer them the same way.
 CLIENT_BATCHES = [
     [
         "check exists x. @ge1(#(y). (E(x, y)) - 1)",
@@ -73,7 +76,9 @@ CLIENT_BATCHES = [
     [
         "count E(x, y)",
         "update insert E 0 50",
+        "check (((broken",
         "update delete E 4 5",
+        "count Q(x)",
         "count E(x, y)",
     ],
 ]
