@@ -4,7 +4,10 @@
 // the whole batch). The time gap is the artifact-build share of query
 // latency; the counters prove the warm path really skips the rebuilds
 // (gaifman_builds_per_query = 0, cache_hits > 0) — CI's bench_session smoke
-// step asserts exactly that on BENCH_session.json.
+// step asserts exactly that on BENCH_session.json. Every counter is per
+// iteration (one query, or one batch for BM_BatchVsLoop): each iteration
+// does the same work, so the figure does not depend on how many iterations
+// the timing loop ran.
 #include <benchmark/benchmark.h>
 
 #include <cstdlib>
@@ -97,7 +100,7 @@ void BM_QueryCold(benchmark::State& state) {
     state.counters["cover_builds_per_query"] =
         static_cast<double>(metrics.Counter("cover.builds")) / iters;
     state.counters["cache_hits"] =
-        static_cast<double>(metrics.Counter("ctx.cache.hits"));
+        static_cast<double>(metrics.Counter("ctx.cache.hits")) / iters;
   }
 }
 
@@ -138,7 +141,8 @@ void BM_QueryWarm(benchmark::State& state) {
         static_cast<double>(metrics.Counter("cover.builds") - cover_before) /
         iters;
     state.counters["cache_hits"] =
-        static_cast<double>(metrics.Counter("ctx.cache.hits") - hits_before);
+        static_cast<double>(metrics.Counter("ctx.cache.hits") - hits_before) /
+        iters;
   }
 }
 
@@ -188,7 +192,7 @@ void BM_BatchVsLoop(benchmark::State& state) {
     state.counters["gaifman_builds_per_batch"] =
         static_cast<double>(metrics.Counter("gaifman.builds")) / iters;
     state.counters["cache_hits"] =
-        static_cast<double>(metrics.Counter("ctx.cache.hits"));
+        static_cast<double>(metrics.Counter("ctx.cache.hits")) / iters;
   }
 }
 

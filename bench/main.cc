@@ -5,6 +5,11 @@
 // `./bench_scaling` drops BENCH_scaling.json next to itself and CI/scripts
 // can harvest the counters without extra flags. Explicit --benchmark_out
 // flags win.
+//
+// Every result file also carries focq's own build provenance in its
+// "context": focq_build_type, focq_compiler, focq_cxx_flags and focq_git_sha
+// (set by bench/CMakeLists.txt). focq_benchdiff prints them and warns when
+// two stamped files were built differently.
 #include <benchmark/benchmark.h>
 
 #include <cstring>
@@ -29,6 +34,10 @@ int main(int argc, char** argv) {
     args.push_back(out_flag.data());
     args.push_back(format_flag.data());
   }
+  benchmark::AddCustomContext("focq_build_type", FOCQ_BENCH_BUILD_TYPE);
+  benchmark::AddCustomContext("focq_compiler", FOCQ_BENCH_COMPILER);
+  benchmark::AddCustomContext("focq_cxx_flags", FOCQ_BENCH_CXX_FLAGS);
+  benchmark::AddCustomContext("focq_git_sha", FOCQ_BENCH_GIT_SHA);
   int effective_argc = static_cast<int>(args.size());
   benchmark::Initialize(&effective_argc, args.data());
   if (benchmark::ReportUnrecognizedArguments(effective_argc, args.data())) {

@@ -396,7 +396,7 @@ Result<QueryResult> EvaluateMultiQueryLocal(const Foc1Query& q,
     std::optional<SymbolId> id = a.signature().Find(driver->symbol_name);
     FOCQ_CHECK(id.has_value());
     Tuple head(k);
-    for (const Tuple& t : a.relation(*id).tuples()) {
+    for (TupleRef t : a.relation(*id).tuples()) {
       bool consistent = true;
       for (std::size_t i = 0; i < k && consistent; ++i) {
         std::optional<ElemId> value;

@@ -171,7 +171,7 @@ const std::vector<std::uint32_t>& LocalEvaluator::TuplesWith(SymbolId id,
                                                              ElemId v) {
   auto& per_value = column_index_[{id, pos}];
   if (per_value.empty() && structure_.relation(id).NumTuples() > 0) {
-    const auto& tuples = structure_.relation(id).tuples();
+    const auto tuples = structure_.relation(id).tuples();
     for (std::uint32_t i = 0; i < tuples.size(); ++i) {
       per_value[tuples[i][pos]].push_back(i);
     }
@@ -208,9 +208,9 @@ std::optional<std::vector<ElemId>> LocalEvaluator::LeafCandidates(
   }
   if (!mentions_y) return std::nullopt;
   SymbolId id = ResolveAtom(leaf);
-  const auto& tuples = structure_.relation(id).tuples();
+  const auto tuples = structure_.relation(id).tuples();
 
-  auto consistent_value = [&](const Tuple& t) -> std::optional<ElemId> {
+  auto consistent_value = [&](TupleRef t) -> std::optional<ElemId> {
     std::optional<ElemId> value;
     for (std::size_t i = 0; i < leaf.vars.size(); ++i) {
       Var v = leaf.vars[i];
@@ -232,7 +232,7 @@ std::optional<std::vector<ElemId>> LocalEvaluator::LeafCandidates(
       if (auto v = consistent_value(tuples[i])) out.push_back(*v);
     }
   } else {
-    for (const Tuple& t : tuples) {
+    for (TupleRef t : tuples) {
       if (auto v = consistent_value(t)) out.push_back(*v);
     }
   }

@@ -214,6 +214,35 @@ bool IsBookkeepingField(const std::string& name) {
          name == "per_family_instance_index";
 }
 
+// Rate counters are timings in disguise (Google Benchmark's
+// items_per_second / bytes_per_second, focq's ns_per_elem): machine-dependent,
+// so they are never compared as counters.
+bool IsRateField(const std::string& name) {
+  return name.ends_with("_per_second") || name.starts_with("ns_per_");
+}
+
+std::string FormatStamp(const std::map<std::string, std::string>& build) {
+  if (build.empty()) return "unstamped";
+  std::string out;
+  for (const auto& [key, value] : build) {
+    if (!out.empty()) out += ", ";
+    out += key + "=`" + value + "`";
+  }
+  return out;
+}
+
+void AppendJsonStamp(std::string* out,
+                     const std::map<std::string, std::string>& build) {
+  *out += "{";
+  for (auto it = build.begin(); it != build.end(); ++it) {
+    if (it != build.begin()) *out += ",";
+    AppendJsonString(out, it->first);
+    *out += ":";
+    AppendJsonString(out, it->second);
+  }
+  *out += "}";
+}
+
 std::string FormatNumber(double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.6g", v);
@@ -259,7 +288,7 @@ Result<BenchRun> ParseBenchJson(const std::string& json) {
         out.real_time = value.number;
       } else if (key == "cpu_time") {
         out.cpu_time = value.number;
-      } else if (!IsBookkeepingField(key)) {
+      } else if (!IsBookkeepingField(key) && !IsRateField(key)) {
         out.counters[key] = value.number;
       }
     }
@@ -269,6 +298,14 @@ Result<BenchRun> ParseBenchJson(const std::string& json) {
     }
     run.rows.push_back(std::move(out));
   }
+  if (const JsonValue* context = doc->Find("context");
+      context != nullptr && context->kind == JsonValue::Kind::kObject) {
+    for (const auto& [key, value] : context->object) {
+      if (key.starts_with("focq_") && value.kind == JsonValue::Kind::kString) {
+        run.build[key] = value.str;
+      }
+    }
+  }
   return run;
 }
 
@@ -276,6 +313,8 @@ BenchDiffReport DiffBenchRuns(const BenchRun& base, const BenchRun& current,
                               const BenchDiffOptions& options) {
   BenchDiffReport report;
   report.options = options;
+  report.base_build = base.build;
+  report.current_build = current.build;
   std::map<std::string, const BenchRow*> base_by_name;
   for (const BenchRow& row : base.rows) base_by_name.emplace(row.name, &row);
   std::map<std::string, const BenchRow*> seen;
@@ -332,8 +371,34 @@ std::size_t BenchDiffReport::NumCounterChanges() const {
   return n;
 }
 
+std::vector<std::string> BenchDiffReport::BuildDifferences() const {
+  std::vector<std::string> fields;
+  if (base_build.empty() || current_build.empty()) return fields;
+  std::map<std::string, std::string> keys = base_build;
+  keys.insert(current_build.begin(), current_build.end());
+  for (const auto& [key, unused] : keys) {
+    if (key == "focq_git_sha") continue;
+    auto b = base_build.find(key);
+    auto c = current_build.find(key);
+    if (b == base_build.end() || c == current_build.end() ||
+        b->second != c->second) {
+      fields.push_back(key);
+    }
+  }
+  return fields;
+}
+
 std::string BenchDiffReport::ToMarkdown() const {
   std::string out = "# benchdiff\n\n";
+  out += "base build: " + FormatStamp(base_build) + "\n\n";
+  out += "current build: " + FormatStamp(current_build) + "\n\n";
+  if (std::vector<std::string> fields = BuildDifferences(); !fields.empty()) {
+    out += "**warning**: the two files were built differently (";
+    for (std::size_t i = 0; i < fields.size(); ++i) {
+      out += (i > 0 ? ", " : "") + fields[i];
+    }
+    out += "); timings are not comparable\n\n";
+  }
   out += std::to_string(compared.size()) + " compared, " +
          std::to_string(NumRegressions()) + " regressions, " +
          std::to_string(NumImprovements()) + " improvements, " +
@@ -417,7 +482,11 @@ std::string BenchDiffReport::ToJson() const {
     }
     out += "}}";
   }
-  out += "]}}";
+  out += "]},\"builds\":{\"base\":";
+  AppendJsonStamp(&out, base_build);
+  out += ",\"current\":";
+  AppendJsonStamp(&out, current_build);
+  out += "}}";
   return out;
 }
 

@@ -7,9 +7,15 @@
 //
 // Timings are machine- and load-dependent, so the default posture is
 // warn-only: a regression is *reported*, and the caller decides whether it
-// fails the build (the CLI's --strict). Counter changes, by contrast, are
-// deterministic for fixed seeds — any drift means the pipeline itself
-// changed shape — so their default threshold is exact equality.
+// fails the build (the CLI's --strict). Rate counters (items_per_second,
+// bytes_per_second, ns_per_*) are timings too and are not compared. Counter
+// changes, by contrast, are deterministic for fixed seeds — any drift means
+// the pipeline itself changed shape — so their default threshold is exact
+// equality, and the CLI fails on any.
+//
+// Each file may carry focq's build stamp (the focq_* "context" fields
+// bench/main.cc writes); the report prints both stamps and names the build
+// fields that differ.
 #ifndef FOCQ_OBS_BENCHDIFF_H_
 #define FOCQ_OBS_BENCHDIFF_H_
 
@@ -36,11 +42,15 @@ struct BenchRow {
 /// like _mean/_stddev and non-iteration run types are skipped).
 struct BenchRun {
   std::vector<BenchRow> rows;
+  // focq's build stamp: the "focq_*" string fields of the file's "context"
+  // (focq_build_type, focq_compiler, focq_cxx_flags, focq_git_sha). Empty
+  // for an unstamped file.
+  std::map<std::string, std::string> build;
 };
 
 /// Parses the Google Benchmark JSON output format (top-level "benchmarks"
-/// array). Unknown fields are ignored; rows with "run_type" other than
-/// "iteration" are dropped.
+/// array, optional "context" object). Unknown fields are ignored; rows with
+/// "run_type" other than "iteration" are dropped.
 Result<BenchRun> ParseBenchJson(const std::string& json);
 
 struct BenchDiffOptions {
@@ -71,14 +81,23 @@ struct BenchDiffReport {
   std::vector<BenchDiffEntry> compared;  // rows present in both runs
   std::vector<std::string> added;        // only in the current run
   std::vector<std::string> removed;      // only in the base run
+  std::map<std::string, std::string> base_build;     // BenchRun::build
+  std::map<std::string, std::string> current_build;
   BenchDiffOptions options;
 
   std::size_t NumRegressions() const;
   std::size_t NumImprovements() const;
   std::size_t NumCounterChanges() const;
 
-  /// Markdown report: summary line, a table of compared rows, and the
-  /// added/removed lists.
+  /// Stamp fields whose values differ when both runs are stamped; empty
+  /// otherwise. focq_git_sha is not compared: a diff spans two commits by
+  /// design, while a different build type, compiler or flag set makes the
+  /// timings incomparable.
+  std::vector<std::string> BuildDifferences() const;
+
+  /// Markdown report: both build stamps (and a warning naming the fields
+  /// that differ), summary line, a table of compared rows, counter changes,
+  /// and the added/removed lists.
   std::string ToMarkdown() const;
 
   /// JSON report:
@@ -87,7 +106,9 @@ struct BenchDiffReport {
   ///                  "counter_changes":N,"added":[..],"removed":[..],
   ///                  "entries":[{"name","base_time","current_time",
   ///                              "time_unit","time_ratio","regression",
-  ///                              "improvement","counter_changes":{...}}]}}
+  ///                              "improvement","counter_changes":{...}}]},
+  ///    "builds": {"base":{"focq_build_type":..,...},"current":{...}}}
+  /// (an unstamped file's build object is empty).
   std::string ToJson() const;
 };
 

@@ -9,14 +9,15 @@ namespace focq {
 TupleIncidence::TupleIncidence(const Structure& a)
     : a_(a), by_element_(a.universe_size()) {
   for (SymbolId id = 0; id < a.signature().NumSymbols(); ++id) {
-    const auto& tuples = a.relation(id).tuples();
+    const auto tuples = a.relation(id).tuples();
     for (std::uint32_t i = 0; i < tuples.size(); ++i) {
       // List each tuple once per distinct element.
-      for (std::size_t pos = 0; pos < tuples[i].size(); ++pos) {
-        ElemId e = tuples[i][pos];
+      TupleRef t = tuples[i];
+      for (std::size_t pos = 0; pos < t.size(); ++pos) {
+        ElemId e = t[pos];
         bool first_occurrence = true;
         for (std::size_t prev = 0; prev < pos; ++prev) {
-          if (tuples[i][prev] == e) {
+          if (t[prev] == e) {
             first_occurrence = false;
             break;
           }
@@ -44,7 +45,7 @@ SubstructureView InducedViewFast(const TupleIncidence& incidence,
   Tuple mapped;
   for (ElemId e : elements) {
     for (auto [symbol, index] : incidence.Of(e)) {
-      const Tuple& t = a.relation(symbol).tuples()[index];
+      TupleRef t = a.relation(symbol).tuples()[index];
       bool all_inside = true;
       for (ElemId member : t) {
         if (!inside(member)) {

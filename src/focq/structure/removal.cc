@@ -54,7 +54,7 @@ RemovalResult RemoveElement(const Structure& a, const Graph& gaifman, ElemId d,
   // Relations R~I.
   Tuple projected;
   for (SymbolId s = 0; s < a.signature().NumSymbols(); ++s) {
-    for (const Tuple& t : a.relation(s).tuples()) {
+    for (TupleRef t : a.relation(s).tuples()) {
       unsigned mask = 0;
       projected.clear();
       for (std::size_t i = 0; i < t.size(); ++i) {

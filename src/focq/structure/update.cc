@@ -95,14 +95,14 @@ Result<bool> ApplyToStructure(Structure* a, const TupleUpdate& u) {
   return a->DeleteTuple(u.symbol, u.tuple);
 }
 
-std::vector<ElemId> TupleElements(const Tuple& t) {
+std::vector<ElemId> TupleElements(TupleRef t) {
   std::vector<ElemId> elems(t.begin(), t.end());
   std::sort(elems.begin(), elems.end());
   elems.erase(std::unique(elems.begin(), elems.end()), elems.end());
   return elems;
 }
 
-std::vector<std::pair<VertexId, VertexId>> TuplePairs(const Tuple& t) {
+std::vector<std::pair<VertexId, VertexId>> TuplePairs(TupleRef t) {
   std::vector<ElemId> elems = TupleElements(t);
   std::vector<std::pair<VertexId, VertexId>> pairs;
   pairs.reserve(elems.size() * (elems.size() > 0 ? elems.size() - 1 : 0) / 2);
@@ -116,7 +116,7 @@ std::vector<std::pair<VertexId, VertexId>> TuplePairs(const Tuple& t) {
 
 GaifmanMaintainer::GaifmanMaintainer(const Structure& a) {
   for (SymbolId id = 0; id < a.signature().NumSymbols(); ++id) {
-    for (const Tuple& t : a.relation(id).tuples()) {
+    for (TupleRef t : a.relation(id).tuples()) {
       for (const auto& [u, v] : TuplePairs(t)) {
         ++support_[PairKey(u, v)];
       }

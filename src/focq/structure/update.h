@@ -64,12 +64,12 @@ struct GaifmanDelta {
 };
 
 /// Distinct elements of `t`, sorted ascending. The update's "touched" set.
-std::vector<ElemId> TupleElements(const Tuple& t);
+std::vector<ElemId> TupleElements(TupleRef t);
 
 /// Distinct unordered pairs {u, v} with u < v among the elements of `t` —
 /// exactly the Gaifman edges the tuple witnesses (BuildGaifmanGraph counts
 /// each pair once per tuple after adjacency-list dedup).
-std::vector<std::pair<VertexId, VertexId>> TuplePairs(const Tuple& t);
+std::vector<std::pair<VertexId, VertexId>> TuplePairs(TupleRef t);
 
 /// Incremental Gaifman-graph maintenance.
 ///

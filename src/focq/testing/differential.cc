@@ -733,13 +733,13 @@ void AppendRandomUpdates(DiffCase* c, std::size_t count, Rng* rng) {
     u.symbol = static_cast<SymbolId>(rng->NextBelow(sig.NumSymbols()));
     const int arity = sig.Arity(u.symbol);
     u.kind = rng->NextBool(0.5) ? UpdateKind::kDelete : UpdateKind::kInsert;
-    const auto& existing = c->structure.relation(u.symbol).tuples();
+    const auto existing = c->structure.relation(u.symbol).tuples();
     if (u.kind == UpdateKind::kDelete && !existing.empty() &&
         rng->NextBool(0.75)) {
       // Bias deletes toward tuples of the initial structure so sequences
       // exercise real removals (later steps may have deleted them already —
       // then this is a legitimate no-op case).
-      u.tuple = existing[rng->NextBelow(existing.size())];
+      u.tuple = ToTuple(existing[rng->NextBelow(existing.size())]);
     } else if (arity > 0 && n == 0) {
       continue;  // no elements to form a tuple from
     } else {

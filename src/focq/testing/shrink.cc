@@ -92,7 +92,7 @@ std::vector<ExprRef> ReplacementsFor(const Expr& e) {
 Structure DropTuple(const Structure& a, SymbolId rel, std::size_t tuple_index) {
   Structure out(a.signature(), a.universe_size());
   for (SymbolId id = 0; id < a.signature().NumSymbols(); ++id) {
-    const auto& tuples = a.relation(id).tuples();
+    const auto tuples = a.relation(id).tuples();
     for (std::size_t i = 0; i < tuples.size(); ++i) {
       if (id == rel && i == tuple_index) continue;
       out.AddTuple(id, tuples[i]);

@@ -1,10 +1,9 @@
-// Hash helpers for composite keys (tuples of element ids, AST nodes).
+// Hash helper for composite keys (AST nodes, sphere invariants).
 #ifndef FOCQ_UTIL_HASH_H_
 #define FOCQ_UTIL_HASH_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 namespace focq {
 
@@ -12,16 +11,6 @@ namespace focq {
 inline void HashCombine(std::size_t* seed, std::size_t value) {
   *seed ^= value + 0x9e3779b97f4a7c15ULL + (*seed << 6) + (*seed >> 2);
 }
-
-/// Hash functor for vectors of integral ids, usable as an unordered_map key.
-struct VectorHash {
-  template <typename T>
-  std::size_t operator()(const std::vector<T>& v) const {
-    std::size_t seed = v.size();
-    for (const T& x : v) HashCombine(&seed, static_cast<std::size_t>(x));
-    return seed;
-  }
-};
 
 }  // namespace focq
 

@@ -4,6 +4,8 @@
 // itself via its path baked in from CMake.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <array>
 #include <cstdio>
 #include <cstdlib>
@@ -58,8 +60,8 @@ class CliExitTest : public ::testing::Test {
   void SetUp() override {
     dir_ = std::filesystem::temp_directory_path() /
            ("focq_cli_exit_" +
-            std::to_string(::testing::UnitTest::GetInstance()->random_seed()) +
-            "_" + std::to_string(reinterpret_cast<std::uintptr_t>(this)));
+            std::to_string(getpid()) + "_" +
+            std::to_string(reinterpret_cast<std::uintptr_t>(this)));
     std::filesystem::create_directories(dir_);
     edges_path_ = (dir_ / "ok.edges").string();
     std::ofstream(edges_path_) << "0 1\n1 2\n2 3\n";
@@ -129,6 +131,16 @@ TEST_F(CliExitTest, MalformedStructureExitsOne) {
   RunResult r = RunCli(bad_structure_path_ + " --count 'true'");
   EXPECT_EQ(r.exit_code, 1) << r.output;
   EXPECT_EQ(CountLines(r.output), 1) << r.output;
+}
+
+TEST_F(CliExitTest, NegativeUniverseExitsOneWithOneLineDiagnostic) {
+  std::string path = (dir_ / "negative.fs").string();
+  std::ofstream(path) << "universe -1\nrelation E 2\n0 1\n";
+  RunResult r = RunCli(path + " --count 'E(x, y)'");
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_EQ(CountLines(r.output), 1) << r.output;
+  EXPECT_NE(r.output.find("INVALID_ARGUMENT: line 1:"), std::string::npos)
+      << r.output;
 }
 
 TEST_F(CliExitTest, UpdateFlagAppliesBeforeEvaluation) {
@@ -242,6 +254,32 @@ TEST_F(CliExitTest, NegativeApproxSeedExitsOne) {
   r = RunCli(structure_path_ +
              " --engine approx --approx-seed 0x10 --count 'E(x, y)'");
   EXPECT_EQ(r.exit_code, 1) << r.output;
+}
+
+TEST_F(CliExitTest, BenchdiffFailsOnCounterDriftButNotOnRates) {
+  auto write_run = [&](const std::string& name, double items_per_second,
+                       double clusters) {
+    std::string path = (dir_ / name).string();
+    std::ofstream(path)
+        << R"({"benchmarks": [{"name": "BM_A", "run_type": "iteration",)"
+        << R"( "iterations": 10, "real_time": 1.0, "cpu_time": 1.0,)"
+        << R"( "time_unit": "ms", "items_per_second": )" << items_per_second
+        << R"(, "ns_per_elem": )" << items_per_second / 7
+        << R"(, "clusters": )" << clusters << "}]}";
+    return path;
+  };
+  std::string base = write_run("base.json", 1000, 5);
+  std::string faster = write_run("faster.json", 2000, 5);
+  std::string drifted = write_run("drifted.json", 1000, 6);
+  RunResult r = RunTool(FOCQ_BENCHDIFF_PATH, base + " " + faster);
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_NE(r.output.find("0 counter changes"), std::string::npos) << r.output;
+  r = RunTool(FOCQ_BENCHDIFF_PATH, base + " " + drifted);
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_NE(r.output.find("BM_A: clusters 5 -> 6"), std::string::npos)
+      << r.output;
+  EXPECT_NE(r.output.find("1 counter change(s)"), std::string::npos)
+      << r.output;
 }
 
 TEST_F(CliExitTest, FuzzRejectsNegativeSeedWithUsage) {

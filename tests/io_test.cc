@@ -53,6 +53,38 @@ TEST(StructureIo, Errors) {
   EXPECT_FALSE(
       ReadStructure("universe 3\nrelation E 2\nrelation E 2\n").ok());
   EXPECT_FALSE(ReadStructure("universe 3\nrelation E 2\n()\n").ok());
+  // Every number is parsed strictly, a line with extra tokens is an error,
+  // and the universe must fit 32-bit element ids.
+  for (const char* bad : {
+           "universe -1\n",
+           "universe 5000000000\n",
+           "universe 4294967296\n",
+           "universe 3abc\n",
+           "universe 3 4\n",
+           "universe +3\n",
+           "universe 3\nrelation E 2 junk\n",
+           "universe 3\nrelation E -2\n",
+           "universe 3\nrelation E 2\n0 1 junk\n",
+           "universe 3\nrelation E 2\n0 1x\n",
+           "universe 3\nrelation E 2\n0 -1\n",
+           "universe 3\nrelation Z 0\n() 1\n",
+       }) {
+    Result<Structure> a = ReadStructure(bad);
+    ASSERT_FALSE(a.ok()) << bad;
+    EXPECT_EQ(a.status().code(), StatusCode::kInvalidArgument) << bad;
+    EXPECT_EQ(a.status().message().rfind("line ", 0), 0u)
+        << bad << " -> " << a.status().ToString();
+  }
+  Result<Structure> overflow =
+      ReadStructure("universe 3\nrelation E 2\n0 99999999999999999999\n");
+  ASSERT_FALSE(overflow.ok());
+  EXPECT_EQ(overflow.status().ToString(),
+            "INVALID_ARGUMENT: line 3: bad element id '99999999999999999999'");
+  // The largest universe and the largest element id still load.
+  Result<Structure> top =
+      ReadStructure("universe 4294967295\nrelation E 2\n4294967294 0\n");
+  ASSERT_TRUE(top.ok()) << top.status().ToString();
+  EXPECT_TRUE(top->Holds(0, {4294967294u, 0}));
 }
 
 TEST(StructureIo, EdgeList) {
@@ -65,6 +97,16 @@ TEST(StructureIo, EdgeList) {
   EXPECT_EQ(a->relation(e).NumTuples(), 6u);
   EXPECT_FALSE(ReadEdgeList("0 -1\n").ok());
   EXPECT_FALSE(ReadEdgeList("").ok());
+  for (const char* bad : {"0 1 junk\n", "0 1\n1 2x\n", "3\n", "+1 2\n",
+                          "0 4294967295\n", "0 99999999999999999999\n"}) {
+    Result<Structure> b = ReadEdgeList(bad);
+    ASSERT_FALSE(b.ok()) << bad;
+    EXPECT_EQ(b.status().message().rfind("edge list line ", 0), 0u)
+        << bad << " -> " << b.status().ToString();
+  }
+  EXPECT_EQ(ReadEdgeList("0 1\n1 2x\n").status().ToString(),
+            "INVALID_ARGUMENT: edge list line 2: bad id '2x' (expected 0 .. "
+            "4294967294)");
   Result<Structure> padded = ReadEdgeList("0 1\n", /*min_vertices=*/10);
   ASSERT_TRUE(padded.ok());
   EXPECT_EQ(padded->universe_size(), 10u);

@@ -407,5 +407,67 @@ TEST(JsonSchema, BenchdiffReport) {
   EXPECT_EQ(self.compared.size(), 2u);
 }
 
+// A Google-Benchmark document with one row and an optional focq build stamp.
+std::string StampedBench(const std::string& stamp) {
+  return R"({"context": {"date": "2026-01-01", "library_build_type": "debug")" +
+         stamp + R"(}, "benchmarks": [{"name": "BM_A", "run_type": )"
+                 R"("iteration", "real_time": 1.0, "time_unit": "ms"}]})";
+}
+
+TEST(Benchdiff, WarnsOnlyWhenTwoStampsDiffer) {
+  const std::string release =
+      R"(, "focq_build_type": "Release", "focq_compiler": "GNU 12.2.0",)"
+      R"( "focq_cxx_flags": "-O3 -DNDEBUG", "focq_git_sha": "abc")";
+  const std::string release_later_commit =
+      R"(, "focq_build_type": "Release", "focq_compiler": "GNU 12.2.0",)"
+      R"( "focq_cxx_flags": "-O3 -DNDEBUG", "focq_git_sha": "def")";
+  const std::string debug =
+      R"(, "focq_build_type": "Debug", "focq_compiler": "GNU 12.2.0",)"
+      R"( "focq_cxx_flags": "-g", "focq_git_sha": "abc")";
+  Result<BenchRun> stamped = ParseBenchJson(StampedBench(release));
+  Result<BenchRun> later = ParseBenchJson(StampedBench(release_later_commit));
+  Result<BenchRun> other = ParseBenchJson(StampedBench(debug));
+  Result<BenchRun> unstamped = ParseBenchJson(StampedBench(""));
+  ASSERT_TRUE(stamped.ok() && later.ok() && other.ok() && unstamped.ok());
+  EXPECT_EQ(stamped->build.size(), 4u);
+  EXPECT_EQ(stamped->build.at("focq_build_type"), "Release");
+  EXPECT_TRUE(unstamped->build.empty()) << "library fields are not a stamp";
+
+  BenchDiffReport mixed = DiffBenchRuns(*unstamped, *stamped);
+  EXPECT_TRUE(mixed.BuildDifferences().empty());
+  std::string md = mixed.ToMarkdown();
+  EXPECT_NE(md.find("base build: unstamped"), std::string::npos) << md;
+  EXPECT_NE(md.find("current build: focq_build_type=`Release`"),
+            std::string::npos)
+      << md;
+  EXPECT_EQ(md.find("**warning**"), std::string::npos) << md;
+
+  EXPECT_TRUE(DiffBenchRuns(*stamped, *later).BuildDifferences().empty())
+      << "a different commit alone is not a different build";
+
+  Json doc = Parser(mixed.ToJson()).Parse();
+  ASSERT_TRUE(doc.Has("builds"));
+  EXPECT_TRUE(doc.At("builds").At("base").object.empty());
+  EXPECT_EQ(doc.At("builds").At("current").At("focq_build_type").string,
+            "Release");
+
+  BenchDiffReport differ = DiffBenchRuns(*stamped, *other);
+  EXPECT_EQ(differ.BuildDifferences(),
+            (std::vector<std::string>{"focq_build_type", "focq_cxx_flags"}));
+  EXPECT_NE(differ.ToMarkdown().find("**warning**"), std::string::npos);
+  EXPECT_EQ(differ.NumCounterChanges(), 0u);
+}
+
+TEST(Benchdiff, RateCountersAreTimingsNotCounters) {
+  Result<BenchRun> run = ParseBenchJson(
+      R"({"benchmarks": [{"name": "BM_A", "run_type": "iteration",)"
+      R"( "real_time": 1.0, "items_per_second": 5.0, "bytes_per_second": 9.0,)"
+      R"( "ns_per_elem": 3.0, "clusters": 2.0}]})");
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  ASSERT_EQ(run->rows.size(), 1u);
+  EXPECT_EQ(run->rows[0].counters,
+            (std::map<std::string, double>{{"clusters", 2.0}}));
+}
+
 }  // namespace
 }  // namespace focq

@@ -4,6 +4,8 @@
 // filter/drop accounting (DESIGN.md §3g, "Request lifecycle & query log").
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -112,8 +114,8 @@ class QueryLogWriterTest : public ::testing::Test {
   void SetUp() override {
     dir_ = std::filesystem::temp_directory_path() /
            ("focq_querylog_" +
-            std::to_string(::testing::UnitTest::GetInstance()->random_seed()) +
-            "_" + std::to_string(reinterpret_cast<std::uintptr_t>(this)));
+            std::to_string(getpid()) + "_" +
+            std::to_string(reinterpret_cast<std::uintptr_t>(this)));
     std::filesystem::create_directories(dir_);
     path_ = (dir_ / "query.log").string();
   }

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 #include <sys/wait.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstdio>
@@ -492,8 +493,8 @@ class ServeQueryLogTest : public ::testing::Test {
   void SetUp() override {
     dir_ = std::filesystem::temp_directory_path() /
            ("focq_serve_qlog_" +
-            std::to_string(::testing::UnitTest::GetInstance()->random_seed()) +
-            "_" + std::to_string(reinterpret_cast<std::uintptr_t>(this)));
+            std::to_string(getpid()) + "_" +
+            std::to_string(reinterpret_cast<std::uintptr_t>(this)));
     std::filesystem::create_directories(dir_);
   }
 

@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+#include <vector>
+
 #include "focq/graph/generators.h"
 #include "focq/structure/encode.h"
 #include "focq/structure/gaifman.h"
 #include "focq/structure/neighborhood.h"
 #include "focq/structure/signature.h"
 #include "focq/structure/structure.h"
+#include "focq/util/rng.h"
 
 namespace focq {
 namespace {
@@ -85,6 +90,111 @@ TEST(Structure, DisjointUnion) {
   EXPECT_TRUE(u.Holds(0, {0, 1}));
   EXPECT_TRUE(u.Holds(0, {2, 4}));
   EXPECT_EQ(u.relation(0).NumTuples(), 2u);
+}
+
+// Rows of `r` in iteration order, as owned tuples.
+std::vector<Tuple> RowsOf(const Relation& r) {
+  std::vector<Tuple> rows;
+  for (TupleRef t : r.tuples()) rows.push_back(ToTuple(t));
+  return rows;
+}
+
+// The Relation contract against a reference model: an insertion-ordered
+// vector with stable erase plus a set. Ids come from a small pool that
+// includes the top of the 32-bit range, so Adds repeat and Removes hit, and
+// a packing or hashing shortcut that collides up there shows.
+TEST(RelationModel, RandomOperationsMatchOrderedReference) {
+  const std::vector<ElemId> pool = {0,          1,          2,
+                                    7,          0x7fffffffu, 0x80000000u,
+                                    0xfffffffdu, 0xfffffffeu};
+  Rng rng(20260417);
+  for (int arity = 0; arity <= 3; ++arity) {
+    Relation r(arity);
+    std::vector<Tuple> order;
+    std::set<Tuple> members;
+    for (int step = 0; step < 4000; ++step) {
+      Tuple t(arity);
+      for (ElemId& e : t) e = pool[rng.NextBelow(pool.size())];
+      const bool present = members.contains(t);
+      switch (rng.NextBelow(3)) {
+        case 0:
+          ASSERT_EQ(r.Add(t), !present)
+              << "arity " << arity << " step " << step;
+          if (!present) {
+            order.push_back(t);
+            members.insert(t);
+          }
+          break;
+        case 1:
+          ASSERT_EQ(r.Remove(t), present)
+              << "arity " << arity << " step " << step;
+          if (present) {
+            order.erase(std::find(order.begin(), order.end(), t));
+            members.erase(t);
+          }
+          break;
+        default:
+          ASSERT_EQ(r.Contains(t), present)
+              << "arity " << arity << " step " << step;
+      }
+      ASSERT_EQ(r.NumTuples(), order.size())
+          << "arity " << arity << " step " << step;
+      if (step % 97 == 0) {
+        ASSERT_EQ(RowsOf(r), order) << "arity " << arity << " step " << step;
+      }
+    }
+    EXPECT_EQ(RowsOf(r), order) << "arity " << arity;
+    for (const Tuple& t : order) EXPECT_TRUE(r.Contains(t));
+  }
+}
+
+TEST(RelationModel, GrowthKeepsEveryRowFindable) {
+  constexpr ElemId kRows = 100000;
+  Relation r(2);
+  // Distinct rows spread over the whole id range; the absent probes swap the
+  // two columns, which no stored row has.
+  auto row = [](ElemId i) {
+    return Tuple{i * 42949u, 0xfffffffeu - i};
+  };
+  for (ElemId i = 0; i < kRows; ++i) ASSERT_TRUE(r.Add(row(i))) << i;
+  EXPECT_EQ(r.NumTuples(), kRows);
+  std::size_t found = 0;
+  std::size_t false_hits = 0;
+  for (ElemId i = 0; i < kRows; ++i) {
+    Tuple t = row(i);
+    found += r.Contains(t) ? 1 : 0;
+    std::swap(t[0], t[1]);
+    false_hits += r.Contains(t) ? 1 : 0;
+  }
+  EXPECT_EQ(found, kRows);
+  EXPECT_EQ(false_hits, 0u);
+  EXPECT_EQ(ToTuple(r.tuples()[kRows - 1]), row(kRows - 1));
+}
+
+// A copy is independent of its source: PlanExecutor mutates its per-statement
+// copy of the shared structure.
+TEST(RelationModel, CopyIsIndependentOfTheOriginal) {
+  Structure a(Signature({{"E", 2}, {"R", 1}}), 6);
+  for (ElemId u = 0; u + 1 < 6; ++u) a.AddTuple(0, {u, u + 1});
+  a.AddTuple(1, {3});
+  const std::vector<Tuple> edges = RowsOf(a.relation(0));
+  const std::vector<Tuple> reds = RowsOf(a.relation(1));
+
+  Structure copy = a;
+  EXPECT_TRUE(copy.InsertTuple(0, {5, 0}));
+  EXPECT_TRUE(copy.DeleteTuple(0, {1, 2}));
+  EXPECT_TRUE(copy.InsertTuple(1, {4}));
+  SymbolId marker = copy.AddUnarySymbol("M", {0, 2});
+  EXPECT_TRUE(copy.Holds(0, {5, 0}));
+  EXPECT_FALSE(copy.Holds(0, {1, 2}));
+  EXPECT_TRUE(copy.Holds(marker, {2}));
+
+  EXPECT_EQ(a.signature().NumSymbols(), 2u);
+  EXPECT_EQ(RowsOf(a.relation(0)), edges);
+  EXPECT_EQ(RowsOf(a.relation(1)), reds);
+  EXPECT_FALSE(a.Holds(0, {5, 0}));
+  EXPECT_TRUE(a.Holds(0, {1, 2}));
+  EXPECT_FALSE(a.Holds(1, {4}));
 }
 
 TEST(Gaifman, EdgesFromTuples) {

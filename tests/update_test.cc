@@ -60,8 +60,8 @@ TEST(StructureUpdate, RelationRemoveKeepsFlatOrderStable) {
   r.Add({2});
   EXPECT_TRUE(r.Remove({1}));
   ASSERT_EQ(r.NumTuples(), 2u);
-  EXPECT_EQ(r.tuples()[0], Tuple{3});
-  EXPECT_EQ(r.tuples()[1], Tuple{2});
+  EXPECT_EQ(ToTuple(r.tuples()[0]), Tuple{3});
+  EXPECT_EQ(ToTuple(r.tuples()[1]), Tuple{2});
   EXPECT_FALSE(r.Remove({1}));
 }
 

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "focq/util/checked_arith.h"
-#include "focq/util/hash.h"
 #include "focq/util/rng.h"
 #include "focq/util/status.h"
 
@@ -112,15 +111,6 @@ TEST(Result, ValueAndStatus) {
   Result<int> bad = Status::NotFound("nope");
   EXPECT_FALSE(bad.ok());
   EXPECT_EQ(bad.status().code(), StatusCode::kNotFound);
-}
-
-TEST(Hash, VectorHashDistinguishes) {
-  VectorHash h;
-  std::vector<int> a = {1, 2, 3};
-  std::vector<int> b = {1, 2, 4};
-  std::vector<int> c = {1, 2, 3};
-  EXPECT_EQ(h(a), h(c));
-  EXPECT_NE(h(a), h(b));  // not guaranteed, but catastrophic if violated here
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 // focq_benchdiff — compares two Google-Benchmark JSON outputs and reports
-// per-experiment time changes and focq counter drift.
+// per-experiment time changes and focq counter drift. The report starts with
+// both files' focq build stamps (see bench/main.cc).
 //
 // Usage:
 //   focq_benchdiff BASE.json CURRENT.json [options]
@@ -15,7 +16,7 @@
 //                          --strict needed. Use a warn band below a fail
 //                          band (--warn-pct 15 --fail-pct 40) to surface
 //                          drift early without flaking CI on noise
-//   --counter-threshold X  relative counter change worth reporting
+//   --counter-threshold X  relative counter change that counts as drift
 //                          (default 0 = exact match required)
 //   --format markdown|json report format (default markdown)
 //   --out PATH             write the report to PATH instead of stdout
@@ -23,9 +24,15 @@
 //                          are found (default is warn-only: always exit 0 on
 //                          a successful compare)
 //
-// Exit codes: 0 compare succeeded (regardless of regressions unless
-// --strict/--fail-pct), 1 regressions under --strict or past --fail-pct,
-// 2 usage/IO/parse errors.
+// Counters (everything on a row except its timings and the rate counters
+// items_per_second, bytes_per_second and ns_per_*) are deterministic for the
+// fixed benchmark seeds, so any counter change exits 1: the benchmarks did
+// different work. Two stamped files built differently (build type, compiler
+// or flags) get a warning; that alone never changes the exit code.
+//
+// Exit codes: 0 compare succeeded (regardless of time regressions unless
+// --strict/--fail-pct), 1 counter changes, regressions under --strict or
+// past --fail-pct, 2 usage/IO/parse errors.
 
 #include <cstdio>
 #include <cstdlib>
@@ -34,6 +41,7 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "focq/obs/benchdiff.h"
 #include "focq/util/parse_number.h"
@@ -49,8 +57,8 @@ void PrintUsage() {
          "--time-threshold)\n"
          "  --fail-pct P           exit 1 when any time regresses past P% "
          "(no --strict needed)\n"
-         "  --counter-threshold X  relative counter change to report "
-         "(default 0)\n"
+         "  --counter-threshold X  relative counter change that counts as "
+         "drift (default 0); any drift exits 1\n"
          "  --format markdown|json report format (default markdown)\n"
          "  --out PATH             write report to PATH (default stdout)\n"
          "  --strict               exit 1 when regressions are found\n";
@@ -187,7 +195,20 @@ int main(int argc, char** argv) {
     out << rendered;
   }
 
+  if (std::vector<std::string> fields = report.BuildDifferences();
+      !fields.empty()) {
+    std::cerr << "focq_benchdiff: warning: " << base_path << " and "
+              << current_path << " were built differently:";
+    for (const std::string& field : fields) std::cerr << " " << field;
+    std::cerr << "\n";
+  }
   int rc = 0;
+  if (report.NumCounterChanges() > 0) {
+    std::cerr << "focq_benchdiff: " << report.NumCounterChanges()
+              << " counter change(s) vs " << base_path
+              << ": the benchmarks did different work\n";
+    rc = 1;
+  }
   if (report.NumRegressions() > 0) {
     std::cerr << "focq_benchdiff: " << report.NumRegressions()
               << " regression(s) vs " << base_path
