@@ -1,7 +1,8 @@
 // E13 -- cross-query artifact caching: the same query evaluated cold (a
 // fresh context per evaluation, so the Gaifman graph and every cover are
 // rebuilt each time) versus warm (one Session amortising the artifacts over
-// the whole batch). The time gap is the artifact-build share of query
+// the whole batch). The ball engine's artifacts are exact covers too: its
+// per-radius ball tables. The time gap is the artifact-build share of query
 // latency; the counters prove the warm path really skips the rebuilds
 // (gaifman_builds_per_query = 0, cache_hits > 0) — CI's bench_session smoke
 // step asserts exactly that on BENCH_session.json. Every counter is per
@@ -47,8 +48,10 @@ Structure MakeInput(std::size_t n) {
   return a;
 }
 
-// Condition at radius 1, head terms at radii 1 and 2: the query pulls three
-// distinct artifacts (graph + two covers) from the cache.
+// Condition at radius 1, head terms at radii 1 and 2: the cover engines pull
+// three distinct artifacts (graph + two covers) from the cache, the ball
+// engine four (graph + ball tables at r = 1, 2 and 3: the separations 1 and
+// 3 and the kernel bound 2).
 Foc1Query MakeQuery() {
   Foc1Query q;
   q.head_vars = {VarNamed("x")};

@@ -101,8 +101,9 @@ class EvalContext {
 
   /// The neighbourhood cover for (radius, backend), built on first access
   /// with the usual cover.* build counters and a "cover_build" span. The
-  /// exact backend doubles as the per-radius ball materialisation cache
-  /// (its clusters are exactly the r-balls).
+  /// exact backend doubles as the ball engine's per-radius ball table: its
+  /// clusters are exactly the sorted r-balls, indexed by vertex, and
+  /// PlanExecutor lends them to ClTermBallEvaluator as BallTables.
   const NeighborhoodCover& Cover(std::uint32_t radius, CoverBackend backend,
                                  const ArtifactOptions& opts = {});
 

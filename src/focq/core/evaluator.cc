@@ -51,9 +51,19 @@ Result<std::vector<CountInt>> PlanExecutor::EvalClTermAll(const ClTerm& term,
                                                           int explain_node) {
   ScopedNodeTimer timer(options_.explain, explain_node, options_.metrics);
   if (options_.term_engine == TermEngine::kBall) {
+    // Warm tables: an exact r-cover's clusters are the sorted r-balls, so
+    // every radius the term reads balls at comes from the context, built
+    // once and repaired by updates, instead of being explored again here.
+    BallTables tables;
+    for (std::uint32_t r : BallRadii(term)) {
+      Result<const NeighborhoodCover*> cover =
+          context_->TryCover(r, CoverBackend::kExact, MakeArtifactOptions());
+      if (!cover.ok()) return cover.status();
+      tables.emplace(r, &(*cover)->clusters);
+    }
     ScopedSpan span(options_.trace, "cl_term_eval");
     ClTermBallEvaluator eval(structure_, gaifman_, options_.num_threads,
-                             options_.metrics, options_.progress);
+                             options_.metrics, options_.progress, &tables);
     return eval.EvaluateAll(term);
   }
   // Cover engines: one cover per required radius; evaluate factor-wise and

@@ -126,13 +126,15 @@ ClTerm ClTerm::Mul(const ClTerm& a, const ClTerm& b) {
 ClTermBallEvaluator::ClTermBallEvaluator(const Structure& structure,
                                          const Graph& gaifman, int num_threads,
                                          MetricsSink* metrics,
-                                         ProgressSink* progress)
+                                         ProgressSink* progress,
+                                         const BallTables* tables)
     : structure_(structure),
       gaifman_(gaifman),
       num_threads_(EffectiveThreads(num_threads)),
       metrics_(metrics),
       progress_(progress),
-      eval_(structure, gaifman) {}
+      tables_(tables),
+      eval_(structure, gaifman, tables) {}
 
 void ClTermBallEvaluator::FlushExploreDelta(const ExploreStats& before) {
   if (metrics_ == nullptr) return;
@@ -147,94 +149,87 @@ void ClTermBallEvaluator::FlushExploreDelta(const ExploreStats& before) {
 
 ClosenessOracle& ClTermBallEvaluator::OracleFor(std::uint32_t d) {
   std::unique_ptr<ClosenessOracle>& slot = oracles_[d];
-  if (slot == nullptr) slot = std::make_unique<ClosenessOracle>(gaifman_, d);
+  if (slot == nullptr) slot = MakeOracle(gaifman_, tables_, d);
   return *slot;
 }
 
-Result<CountInt> ClTermBallEvaluator::CountAnchored(const BasicClTerm& basic,
-                                                    ElemId anchor) {
+ClTermBallEvaluator::Placement ClTermBallEvaluator::Plan(
+    const BasicClTerm& basic) {
   const int k = basic.width();
   FOCQ_CHECK_GE(k, 1);
   FOCQ_CHECK(basic.pattern.IsConnected());
   FOCQ_CHECK_EQ(basic.pattern.num_vertices(), k);
-  const std::uint32_t sep = basic.Separation();
-  ClosenessOracle& oracle = OracleFor(sep);
-  ++explore_stats_.anchors;
-
-  // Kernel check helper on a full placement.
-  Env env;
-  auto kernel_holds = [&](const std::vector<ElemId>& elems) {
-    ++explore_stats_.placements;
-    for (int i = 0; i < k; ++i) env.Bind(basic.vars[i], elems[i]);
-    return eval_.Satisfies(basic.kernel, &env);
-  };
-
-  if (k == 1) {
-    std::vector<ElemId> elems = {anchor};
-    return kernel_holds(elems) ? CountInt{1} : CountInt{0};
-  }
-
-  // Placement order: BFS over the (connected) pattern from vertex 0, so each
-  // new position has an already-placed pattern neighbour to draw candidates
-  // from.
-  std::vector<int> order = {0};
-  std::vector<int> parent(k, -1);
-  std::vector<bool> placed_in_order(k, false);
-  placed_in_order[0] = true;
-  for (std::size_t head = 0; head < order.size(); ++head) {
-    int u = order[head];
+  Placement p;
+  p.basic = &basic;
+  if (k > 1) p.oracle = &OracleFor(basic.Separation());
+  p.order = {0};
+  p.parent.assign(k, -1);
+  std::vector<bool> in_order(k, false);
+  in_order[0] = true;
+  for (std::size_t head = 0; head < p.order.size(); ++head) {
+    int u = p.order[head];
     for (int v = 0; v < k; ++v) {
-      if (!placed_in_order[v] && basic.pattern.HasEdge(u, v)) {
-        placed_in_order[v] = true;
-        parent[v] = u;
-        order.push_back(v);
+      if (!in_order[v] && basic.pattern.HasEdge(u, v)) {
+        in_order[v] = true;
+        p.parent[v] = u;
+        p.order.push_back(v);
       }
     }
   }
-  FOCQ_CHECK_EQ(order.size(), static_cast<std::size_t>(k));
+  FOCQ_CHECK_EQ(p.order.size(), static_cast<std::size_t>(k));
+  p.elems.assign(k, 0);
+  return p;
+}
 
-  std::vector<ElemId> elems(k, 0);
-  std::vector<bool> placed(k, false);
-  elems[0] = anchor;
-  placed[0] = true;
-  CountInt count = 0;
-  bool overflow = false;
+bool ClTermBallEvaluator::KernelHolds(Placement* p) {
+  ++explore_stats_.placements;
+  const BasicClTerm& basic = *p->basic;
+  for (int i = 0; i < basic.width(); ++i) {
+    p->env.Bind(basic.vars[i], p->elems[i]);
+  }
+  return eval_.Satisfies(basic.kernel, &p->env);
+}
 
-  // Depth-first placement of order[1..k-1].
-  auto recurse = [&](auto&& self, int depth) -> void {
-    if (overflow) return;
-    if (depth == k) {
-      if (kernel_holds(elems)) {
-        auto next = CheckedAdd(count, 1);
-        if (!next) {
-          overflow = true;
-          return;
-        }
-        count = *next;
-      }
+void ClTermBallEvaluator::Place(Placement* p, int depth, CountInt* count,
+                                bool* overflow) {
+  const BasicClTerm& basic = *p->basic;
+  if (depth == basic.width()) {
+    if (!KernelHolds(p)) return;
+    auto next = CheckedAdd(*count, 1);
+    if (!next) {
+      *overflow = true;
       return;
     }
-    int pos = order[depth];
-    ++explore_stats_.balls;
-    // Candidates: the separation-ball of the parent. Copy, since recursive
-    // Close() calls may touch the oracle cache of other elements.
-    const std::vector<ElemId> candidates = oracle.BallOf(elems[parent[pos]]);
-    for (ElemId c : candidates) {
-      bool ok = true;
-      for (int i = 0; i < k && ok; ++i) {
-        if (!placed[i] || i == pos) continue;
-        bool close = oracle.Close(elems[i], c);
-        if (close != basic.pattern.HasEdge(i, pos)) ok = false;
-      }
-      if (!ok) continue;
-      elems[pos] = c;
-      placed[pos] = true;
-      self(self, depth + 1);
-      placed[pos] = false;
-      if (overflow) return;
+    *count = *next;
+    return;
+  }
+  const int pos = p->order[depth];
+  const int parent = p->parent[pos];
+  ++explore_stats_.balls;
+  // Candidates: the separation ball of the parent, which is close to each
+  // of them by construction; every other placed position must be close to
+  // the candidate exactly when the pattern joins it to `pos`.
+  for (ElemId c : p->oracle->BallOf(p->elems[parent])) {
+    bool ok = true;
+    for (int j = 0; j < depth && ok; ++j) {
+      const int i = p->order[j];
+      if (i == parent) continue;
+      ok = p->oracle->Close(p->elems[i], c) == basic.pattern.HasEdge(i, pos);
     }
-  };
-  recurse(recurse, 1);
+    if (!ok) continue;
+    p->elems[pos] = c;
+    Place(p, depth + 1, count, overflow);
+    if (*overflow) return;
+  }
+}
+
+Result<CountInt> ClTermBallEvaluator::CountAnchored(Placement* p,
+                                                    ElemId anchor) {
+  ++explore_stats_.anchors;
+  p->elems[0] = anchor;
+  CountInt count = 0;
+  bool overflow = false;
+  Place(p, 1, &count, &overflow);
   if (overflow) return Status::OutOfRange("cl-term count overflows int64");
   return count;
 }
@@ -249,11 +244,12 @@ Result<std::vector<CountInt>> ClTermBallEvaluator::EvaluateBasicAll(
     progress_->AddTotal(ProgressPhase::kClTerm, static_cast<std::int64_t>(n));
   }
   if (num_threads_ <= 1) {
+    Placement placement = Plan(basic);
     for (ElemId a = 0; a < n; ++a) {
       if (progress_ != nullptr && progress_->ShouldStop()) {
         return progress_->DeadlineStatus();
       }
-      Result<CountInt> c = CountAnchored(basic, a);
+      Result<CountInt> c = CountAnchored(&placement, a);
       if (!c.ok()) return c.status();
       out[a] = *c;
       if (progress_ != nullptr) progress_->Advance(ProgressPhase::kClTerm, 1);
@@ -261,22 +257,25 @@ Result<std::vector<CountInt>> ClTermBallEvaluator::EvaluateBasicAll(
     FlushExploreDelta(before);
     return out;
   }
-  // Each chunk gets a serial worker evaluator (the oracle/index caches are
-  // not thread-safe) and writes disjoint anchor slots; errors are surfaced
-  // in chunk order so failure reporting is deterministic too. Worker
-  // exploration tallies land in per-chunk shards and reduce after the join,
-  // so the flushed totals match the serial run.
+  // Each chunk gets a serial worker evaluator (the lazy oracle and index
+  // caches are not thread-safe; lent tables are only read) and writes
+  // disjoint anchor slots; errors are surfaced in chunk order so failure
+  // reporting is deterministic too. Worker exploration tallies land in
+  // per-chunk shards and reduce after the join, so the flushed totals match
+  // the serial run.
   const std::size_t num_chunks = MakeChunkGrid(n, num_threads_).num_chunks;
   std::vector<Status> chunk_status(num_chunks, Status::Ok());
   ShardedCounter anchors(num_chunks), balls(num_chunks),
       placements(num_chunks);
   ParallelFor(num_threads_, n,
               [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-                ClTermBallEvaluator worker(structure_, gaifman_);
+                ClTermBallEvaluator worker(structure_, gaifman_, 1, nullptr,
+                                           nullptr, tables_);
+                Placement placement = worker.Plan(basic);
                 for (std::size_t a = begin; a < end; ++a) {
                   if (progress_ != nullptr && progress_->ShouldStop()) return;
-                  Result<CountInt> c =
-                      worker.CountAnchored(basic, static_cast<ElemId>(a));
+                  Result<CountInt> c = worker.CountAnchored(
+                      &placement, static_cast<ElemId>(a));
                   if (!c.ok()) {
                     chunk_status[chunk] = c.status();
                     return;
@@ -313,11 +312,12 @@ Result<CountInt> ClTermBallEvaluator::EvaluateBasicGround(
   }
   if (num_threads_ <= 1) {
     CountInt total = 0;
+    Placement placement = Plan(basic);
     for (ElemId a = 0; a < n; ++a) {
       if (progress_ != nullptr && progress_->ShouldStop()) {
         return progress_->DeadlineStatus();
       }
-      Result<CountInt> c = CountAnchored(basic, a);
+      Result<CountInt> c = CountAnchored(&placement, a);
       if (!c.ok()) return c.status();
       auto sum = CheckedAdd(total, *c);
       if (!sum) return Status::OutOfRange("cl-term count overflows int64");
@@ -337,12 +337,14 @@ Result<CountInt> ClTermBallEvaluator::EvaluateBasicGround(
       placements(num_chunks);
   ParallelFor(num_threads_, n,
               [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-                ClTermBallEvaluator worker(structure_, gaifman_);
+                ClTermBallEvaluator worker(structure_, gaifman_, 1, nullptr,
+                                           nullptr, tables_);
+                Placement placement = worker.Plan(basic);
                 CountInt acc = 0;
                 for (std::size_t a = begin; a < end; ++a) {
                   if (progress_ != nullptr && progress_->ShouldStop()) return;
-                  Result<CountInt> c =
-                      worker.CountAnchored(basic, static_cast<ElemId>(a));
+                  Result<CountInt> c = worker.CountAnchored(
+                      &placement, static_cast<ElemId>(a));
                   if (!c.ok()) {
                     chunk_status[chunk] = c.status();
                     return;
@@ -441,6 +443,19 @@ Result<std::vector<CountInt>> CombineMonomials(
 
 std::uint32_t RequiredCoverRadius(const BasicClTerm& basic) {
   return static_cast<std::uint32_t>(basic.width()) * basic.Separation();
+}
+
+std::set<std::uint32_t> BallRadii(const ClTerm& term) {
+  std::set<std::uint32_t> radii;
+  auto collect = [&radii](auto&& self, const Expr& e) -> void {
+    if (e.kind == ExprKind::kDistAtom) radii.insert(e.dist_bound);
+    for (const ExprRef& c : e.children) self(self, *c);
+  };
+  for (const BasicClTerm& basic : term.basics()) {
+    if (basic.width() > 1) radii.insert(basic.Separation());
+    collect(collect, basic.kernel.node());
+  }
+  return radii;
 }
 
 }  // namespace focq

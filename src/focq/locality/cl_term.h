@@ -19,6 +19,7 @@
 #define FOCQ_LOCALITY_CL_TERM_H_
 
 #include <cstdint>
+#include <set>
 #include <vector>
 
 #include "focq/graph/pattern_graph.h"
@@ -101,13 +102,20 @@ Result<std::vector<CountInt>> CombineMonomials(
 /// anchor's cluster: k * (2r+1).
 std::uint32_t RequiredCoverRadius(const BasicClTerm& basic);
 
+/// Radii at which ClTermBallEvaluator reads balls for `term`: the
+/// separation 2r+1 of every basic of width at least 2, and every dist bound
+/// in the kernels, ball guards included. Locality keeps each kernel bound
+/// below its basic's separation.
+std::set<std::uint32_t> BallRadii(const ClTerm& term);
+
 /// Evaluates cl-terms on one structure by local exploration.
 ///
 /// Thread-compatible, not thread-safe (mutable oracle/index caches). With
 /// num_threads > 1 the per-anchor loops of EvaluateBasicAll /
 /// EvaluateBasicGround fan out over worker-local evaluators; partial counts
 /// are reduced in chunk order with checked arithmetic, so the result is
-/// bit-identical to the serial evaluation.
+/// bit-identical to the serial evaluation. Lent ball tables are shared
+/// read-only by the evaluator, its kernel evaluator and every worker.
 class ClTermBallEvaluator {
  public:
   /// Exploration-work tally (see DESIGN.md, "Observability"): anchors is the
@@ -126,10 +134,15 @@ class ClTermBallEvaluator {
   /// With `metrics` installed, EvaluateBasicAll/EvaluateBasicGround flush
   /// the clterm.* counters accumulated during the call. With `progress`
   /// installed those loops advance the kClTerm phase per anchor and poll the
-  /// deadline; a hard expiry makes them return kDeadlineExceeded.
+  /// deadline; a hard expiry makes them return kDeadlineExceeded. With
+  /// `tables` lent, separation balls and kernel distances of a radius that
+  /// has a table are read from it instead of explored; results are the same
+  /// either way. The tables must be balls of `gaifman` and outlive the
+  /// evaluator.
   ClTermBallEvaluator(const Structure& structure, const Graph& gaifman,
                       int num_threads = 1, MetricsSink* metrics = nullptr,
-                      ProgressSink* progress = nullptr);
+                      ProgressSink* progress = nullptr,
+                      const BallTables* tables = nullptr);
 
   /// Cumulative exploration work since construction (includes per-call
   /// EvaluateBasicAt work, which has no flush boundary of its own).
@@ -141,7 +154,8 @@ class ClTermBallEvaluator {
   /// Value of a unary basic cl-term at one element (pattern placements
   /// anchored at y1 = anchor).
   Result<CountInt> EvaluateBasicAt(const BasicClTerm& basic, ElemId anchor) {
-    return CountAnchored(basic, anchor);
+    Placement placement = Plan(basic);
+    return CountAnchored(&placement, anchor);
   }
 
   /// Value of a ground basic cl-term (sum over anchors of the unary values).
@@ -155,9 +169,32 @@ class ClTermBallEvaluator {
   Result<std::vector<CountInt>> EvaluateAll(const ClTerm& term);
 
  private:
+  /// One basic's placement order plus the scratch every anchor reuses, built
+  /// once per basic: the pattern positions in BFS order from y1 (each later
+  /// position draws its candidates from the separation ball of an already
+  /// placed pattern neighbour, its parent), the separation oracle (none for
+  /// width 1), the partial placement and the kernel's environment.
+  struct Placement {
+    const BasicClTerm* basic = nullptr;
+    ClosenessOracle* oracle = nullptr;
+    std::vector<int> order;
+    std::vector<int> parent;
+    std::vector<ElemId> elems;
+    Env env;
+  };
+  Placement Plan(const BasicClTerm& basic);
+
   /// Core enumeration: counts pattern placements anchored at y1 = anchor and
-  /// satisfying the kernel. Appends nothing; returns the count.
-  Result<CountInt> CountAnchored(const BasicClTerm& basic, ElemId anchor);
+  /// satisfying the kernel. It works in p's scratch, so the enumeration
+  /// itself allocates nothing once the balls it reads exist.
+  Result<CountInt> CountAnchored(Placement* p, ElemId anchor);
+
+  /// Depth-first placement of p->order[depth..]; adds every full placement
+  /// whose kernel holds to *count.
+  void Place(Placement* p, int depth, CountInt* count, bool* overflow);
+
+  /// Checks the kernel on the full placement p->elems.
+  bool KernelHolds(Placement* p);
 
   /// Flushes the ExploreStats delta accumulated since `before` (plus one
   /// basic evaluated) into metrics_, if installed.
@@ -168,6 +205,7 @@ class ClTermBallEvaluator {
   int num_threads_;
   MetricsSink* metrics_;
   ProgressSink* progress_;
+  const BallTables* tables_;
   LocalEvaluator eval_;
   ExploreStats explore_stats_;
   std::unordered_map<std::uint32_t, std::unique_ptr<ClosenessOracle>> oracles_;

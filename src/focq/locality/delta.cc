@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "focq/logic/build.h"
-#include "focq/util/check.h"
 
 namespace focq {
 
@@ -41,27 +40,33 @@ PatternGraph ClosenessGraph(BallExplorer* explorer, const Tuple& a,
 }
 
 ClosenessOracle::ClosenessOracle(const Graph& gaifman, std::uint32_t r)
-    : gaifman_(gaifman),
+    : gaifman_(&gaifman),
       r_(r),
-      explorer_(gaifman),
       cache_(gaifman.num_vertices()),
-      cached_(gaifman.num_vertices(), false) {}
+      balls_(&cache_) {}
 
-const std::vector<ElemId>& ClosenessOracle::BallOf(ElemId a) {
-  FOCQ_CHECK_LT(a, cache_.size());
-  if (!cached_[a]) {
-    std::vector<ElemId> ball = explorer_.Explore(a, r_);
-    std::sort(ball.begin(), ball.end());
-    cache_[a] = std::move(ball);
-    cached_[a] = true;
-  }
+ClosenessOracle::ClosenessOracle(const BallTable& table, std::uint32_t r)
+    : gaifman_(nullptr), r_(r), balls_(&table) {}
+
+const std::vector<ElemId>& ClosenessOracle::Explore(ElemId a) {
+  FOCQ_CHECK(gaifman_ != nullptr);
+  if (!explorer_.has_value()) explorer_.emplace(*gaifman_);
+  std::vector<ElemId> ball = explorer_->Explore(a, r_);
+  std::sort(ball.begin(), ball.end());
+  cache_[a] = std::move(ball);
   return cache_[a];
 }
 
-bool ClosenessOracle::Close(ElemId a, ElemId b) {
-  if (a == b) return true;
-  const std::vector<ElemId>& ball = BallOf(a);
-  return std::binary_search(ball.begin(), ball.end(), b);
+std::unique_ptr<ClosenessOracle> MakeOracle(const Graph& gaifman,
+                                            const BallTables* tables,
+                                            std::uint32_t r) {
+  if (tables != nullptr) {
+    auto it = tables->find(r);
+    if (it != tables->end()) {
+      return std::make_unique<ClosenessOracle>(*it->second, r);
+    }
+  }
+  return std::make_unique<ClosenessOracle>(gaifman, r);
 }
 
 }  // namespace focq

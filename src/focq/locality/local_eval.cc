@@ -140,8 +140,9 @@ bool EvaluateOnNeighborhood(const Structure& a, const Graph& gaifman,
   return eval.Satisfies(f, &env);
 }
 
-LocalEvaluator::LocalEvaluator(const Structure& structure, const Graph& gaifman)
-    : structure_(structure), gaifman_(gaifman) {
+LocalEvaluator::LocalEvaluator(const Structure& structure, const Graph& gaifman,
+                               const BallTables* tables)
+    : structure_(structure), gaifman_(gaifman), tables_(tables) {
   FOCQ_CHECK_EQ(gaifman.num_vertices(), structure.universe_size());
 }
 
@@ -158,7 +159,7 @@ SymbolId LocalEvaluator::ResolveAtom(const Expr& e) {
 
 ClosenessOracle& LocalEvaluator::OracleFor(std::uint32_t d) {
   std::unique_ptr<ClosenessOracle>& slot = oracles_[d];
-  if (slot == nullptr) slot = std::make_unique<ClosenessOracle>(gaifman_, d);
+  if (slot == nullptr) slot = MakeOracle(gaifman_, tables_, d);
   return *slot;
 }
 
@@ -340,7 +341,8 @@ bool LocalEvaluator::EvalQuantifier(const Expr& e, Env* env, bool is_exists) {
     // Only elements in the d-ball of the anchor can flip the result: outside
     // it the guard conjunct is false (exists) / the negated guard disjunct is
     // true (forall).
-    const std::vector<ElemId> ball = OracleFor(g.d).BallOf(env->Get(g.anchor));
+    const std::vector<ElemId>& ball =
+        OracleFor(g.d).BallOf(env->Get(g.anchor));
     sweep(ball);
     restore();
     return result;
@@ -459,7 +461,7 @@ std::optional<CountInt> LocalEvaluator::EvalTerm(const Expr& e, Env* env) {
           Var y = ys[0];
           bool was_bound = env->IsBound(y);
           ElemId old = was_bound ? env->Get(y) : 0;
-          const std::vector<ElemId> ball =
+          const std::vector<ElemId>& ball =
               OracleFor(g.d).BallOf(env->Get(g.anchor));
           CountInt count = 0;
           for (ElemId a : ball) {
@@ -529,7 +531,8 @@ void LocalEvaluator::CountRec(const Expr& body, const std::vector<Var>& binders,
   };
   Guard g = FindExistsGuard(body, y);
   if (g.found && env->IsBound(g.anchor)) {
-    const std::vector<ElemId> ball = OracleFor(g.d).BallOf(env->Get(g.anchor));
+    const std::vector<ElemId>& ball =
+        OracleFor(g.d).BallOf(env->Get(g.anchor));
     descend(ball);
     return;
   }

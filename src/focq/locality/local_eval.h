@@ -79,8 +79,11 @@ bool EvaluateOnNeighborhood(const Structure& a, const Graph& gaifman,
 class LocalEvaluator {
  public:
   /// `gaifman` must be the Gaifman graph of `structure`; both must outlive
-  /// the evaluator.
-  LocalEvaluator(const Structure& structure, const Graph& gaifman);
+  /// the evaluator. With `tables` lent, dist atoms and ball guards of a
+  /// radius that has a table read its balls from there; other radii explore
+  /// lazily. The tables must be balls of `gaifman` and outlive the evaluator.
+  LocalEvaluator(const Structure& structure, const Graph& gaifman,
+                 const BallTables* tables = nullptr);
 
   const Structure& structure() const { return structure_; }
 
@@ -134,6 +137,7 @@ class LocalEvaluator {
 
   const Structure& structure_;
   const Graph& gaifman_;
+  const BallTables* tables_;
   std::unordered_map<std::string, SymbolId> atom_cache_;
   std::unordered_map<std::uint32_t, std::unique_ptr<ClosenessOracle>> oracles_;
   // (symbol, column) -> value -> tuple indices.

@@ -1,6 +1,9 @@
 #include "focq/logic/parser.h"
 
 #include <cctype>
+#include <cstdint>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "focq/logic/build.h"
@@ -277,8 +280,13 @@ class Parser {
       if (Peek().kind != TokKind::kInt) {
         return Status::InvalidArgument("expected distance bound");
       }
-      CountInt d = Advance().value;
-      return DistAtMost(x, y, static_cast<std::uint32_t>(d));
+      const Token bound = Advance();
+      if (bound.value > std::numeric_limits<std::uint32_t>::max()) {
+        return Status::InvalidArgument(
+            "distance bound out of range at offset " +
+            std::to_string(bound.pos));
+      }
+      return DistAtMost(x, y, static_cast<std::uint32_t>(bound.value));
     }
     if (Peek().kind == TokKind::kLParen) {
       // Relation atom.

@@ -68,11 +68,17 @@ TEST(Delta, ExactlyOnePatternPerTuple) {
 TEST(ClosenessOracle, MatchesBoundedDistance) {
   Rng rng(9);
   Graph g = MakeRandomSparse(40, 3, &rng);
-  ClosenessOracle oracle(g, 2);
-  for (VertexId u = 0; u < 40; ++u) {
-    for (VertexId v = 0; v < 40; ++v) {
-      bool expected = BoundedDistance(g, u, v, 2) != kInfiniteDistance;
-      EXPECT_EQ(oracle.Close(u, v), expected);
+  // Lazy, and backed by a lent table of the sorted 2-balls.
+  BallTable table;
+  for (VertexId v = 0; v < 40; ++v) table.push_back(Ball(g, {v}, 2));
+  ClosenessOracle lazy(g, 2);
+  ClosenessOracle backed(table, 2);
+  for (ClosenessOracle* oracle : {&lazy, &backed}) {
+    for (VertexId u = 0; u < 40; ++u) {
+      for (VertexId v = 0; v < 40; ++v) {
+        bool expected = BoundedDistance(g, u, v, 2) != kInfiniteDistance;
+        EXPECT_EQ(oracle->Close(u, v), expected);
+      }
     }
   }
 }

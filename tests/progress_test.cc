@@ -243,32 +243,36 @@ TEST(CancellationTest, WarmRunAfterCancellationMatchesColdRun) {
   Structure a = EncodeGraph(MakeGrid(100, 100));
   Formula phi = ScalingCondition();
 
-  EvalOptions plain;
-  plain.term_engine = TermEngine::kSparseCover;
-  plain.num_threads = 1;
-  Result<CountInt> cold = CountSolutions(phi, a, plain);
-  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  // The ball engine's cancelled call may stop inside a ball-table build, the
+  // cover engine's inside a cover build.
+  for (TermEngine term_engine : {TermEngine::kSparseCover, TermEngine::kBall}) {
+    EvalOptions plain;
+    plain.term_engine = term_engine;
+    plain.num_threads = 1;
+    Result<CountInt> cold = CountSolutions(phi, a, plain);
+    ASSERT_TRUE(cold.ok()) << cold.status().ToString();
 
-  for (int threads : {0, 1, 4}) {
-    EvalContext context(a);
-    EvalOptions cancel = plain;
-    cancel.num_threads = threads;
-    cancel.context = &context;
-    cancel.deadline = Deadline{0, 1};
-    Result<CountInt> cancelled = CountSolutions(phi, a, cancel);
-    ASSERT_FALSE(cancelled.ok()) << "threads=" << threads;
-    ASSERT_EQ(cancelled.status().code(), StatusCode::kDeadlineExceeded)
-        << cancelled.status().ToString();
+    for (int threads : {0, 1, 4}) {
+      EvalContext context(a);
+      EvalOptions cancel = plain;
+      cancel.num_threads = threads;
+      cancel.context = &context;
+      cancel.deadline = Deadline{0, 1};
+      Result<CountInt> cancelled = CountSolutions(phi, a, cancel);
+      ASSERT_FALSE(cancelled.ok()) << "threads=" << threads;
+      ASSERT_EQ(cancelled.status().code(), StatusCode::kDeadlineExceeded)
+          << cancelled.status().ToString();
 
-    // Same context, no deadline: whatever the cancelled call left behind in
-    // the cache must be complete artifacts or nothing — the warm re-run is
-    // bit-identical to the cold uncached run.
-    EvalOptions warm = plain;
-    warm.num_threads = threads;
-    warm.context = &context;
-    Result<CountInt> rerun = CountSolutions(phi, a, warm);
-    ASSERT_TRUE(rerun.ok()) << rerun.status().ToString();
-    EXPECT_EQ(*rerun, *cold) << "threads=" << threads;
+      // Same context, no deadline: whatever the cancelled call left behind
+      // in the cache must be complete artifacts or nothing — the warm re-run
+      // is bit-identical to the cold uncached run.
+      EvalOptions warm = plain;
+      warm.num_threads = threads;
+      warm.context = &context;
+      Result<CountInt> rerun = CountSolutions(phi, a, warm);
+      ASSERT_TRUE(rerun.ok()) << rerun.status().ToString();
+      EXPECT_EQ(*rerun, *cold) << "threads=" << threads;
+    }
   }
 }
 

@@ -183,6 +183,9 @@ TEST(ServeServerTest, ConcurrentMixedWorkloadIsBitIdenticalToSerialReplay) {
       {
           {FrameKind::kCheck, "exists x. @ge1(#(y). (E(x, y)) - 1)"},
           {FrameKind::kUpdate, "insert E 0 7"},
+          // A dist kernel: the ball engine builds (or repairs) its r = 2
+          // and r = 3 ball tables while other clients read and update.
+          {FrameKind::kCount, "@ge1(#(y). (dist(x, y) <= 2) - 4)"},
           {FrameKind::kCount, "@ge1(#(y). (E(x, y)))"},
           {FrameKind::kTerm, "#(x, y). (E(x, y))"},
           {FrameKind::kUpdate, "delete E 0 7"},

@@ -75,6 +75,12 @@ TEST(Statement, CanonicalResponseAndErrorTexts) {
   EXPECT_EQ(run(StatementKind::kCount, "@ge1(#(y). (E(x, y)) - "
                                        "99999999999999999999)"),
             "INVALID_ARGUMENT: integer literal out of range at offset 23");
+  // A distance bound past uint32 is rejected, not truncated (2^32 would
+  // otherwise read as dist <= 0).
+  EXPECT_EQ(run(StatementKind::kTerm, "#(x, y). (dist(x, y) <= 4294967296)"),
+            "INVALID_ARGUMENT: distance bound out of range at offset 24");
+  EXPECT_EQ(run(StatementKind::kTerm, "#(x, y). (dist(x, y) <= 4294967295)"),
+            "16");
 }
 
 TEST(Statement, UpdateWithoutWritableStructureIsUnsupported) {

@@ -12,6 +12,7 @@
 #include "focq/graph/generators.h"
 #include "focq/hanf/sphere.h"
 #include "focq/logic/parser.h"
+#include "focq/logic/printer.h"
 #include "focq/structure/encode.h"
 #include "focq/structure/gaifman.h"
 #include "focq/structure/structure.h"
@@ -334,8 +335,13 @@ TEST(Session, ReadOnlySessionRejectsUpdates) {
 // answers are bit-identical to a cold rebuild for every engine and thread
 // count (0 = all hardware threads, 1 = serial, 4 = fixed fan-out).
 TEST(Session, IncrementalAnswersMatchColdRebuildAcrossThreadCounts) {
-  const Formula condition =
-      *ParseFormula("@ge1(#(y). (E(x, y) & R(y)) - 1)");
+  // The dist kernel makes the ball engine keep r = 2 and r = 3 ball tables
+  // (kernel bound and separation), which every edge update repairs. An
+  // inserted shortcut gives its ends more than five vertices within
+  // distance 2, so a stale table of either radius changes the answer.
+  const std::vector<Formula> conditions = {
+      *ParseFormula("@ge1(#(y). (E(x, y) & R(y)) - 1)"),
+      *ParseFormula("@ge1(#(y). (dist(x, y) <= 2) - 5)")};
   std::vector<TupleUpdate> script;
   {
     Structure probe = PathWithReds(40, 5);
@@ -344,33 +350,36 @@ TEST(Session, IncrementalAnswersMatchColdRebuildAcrossThreadCounts) {
               Insert(red, {12}),   Delete(0, {9, 8}),  Delete(red, {12}),
               Insert(0, {20, 22}), Insert(0, {22, 20})};
   }
-  for (int threads : {0, 1, 4}) {
-    for (TermEngine term_engine :
-         {TermEngine::kBall, TermEngine::kSparseCover,
-          TermEngine::kExactCover}) {
-      Structure live = PathWithReds(40, 5);
-      EvalOptions options;
-      options.term_engine = term_engine;
-      options.num_threads = threads;
-      Session session(&live, options);
-      ASSERT_TRUE(session.CountSolutions(condition).ok());  // prime the cache
-      Structure cold_copy = PathWithReds(40, 5);
-      for (const TupleUpdate& u : script) {
-        Result<UpdateStats> applied = session.ApplyUpdate(u);
-        ASSERT_TRUE(applied.ok());
-        Result<bool> mirrored = ApplyToStructure(&cold_copy, u);
-        ASSERT_TRUE(mirrored.ok());
-        EXPECT_EQ(applied->changed, *mirrored);
-        Result<CountInt> warm = session.CountSolutions(condition);
-        EvalOptions cold_options = options;
-        cold_options.engine = Engine::kNaive;
-        Result<CountInt> cold = CountSolutions(condition, cold_copy,
-                                               cold_options);
-        ASSERT_TRUE(warm.ok());
-        ASSERT_TRUE(cold.ok());
-        EXPECT_EQ(*warm, *cold)
-            << "threads=" << threads
-            << " update=" << UpdateToString(u, live.signature());
+  for (const Formula& condition : conditions) {
+    for (int threads : {0, 1, 4}) {
+      for (TermEngine term_engine :
+           {TermEngine::kBall, TermEngine::kSparseCover,
+            TermEngine::kExactCover}) {
+        Structure live = PathWithReds(40, 5);
+        EvalOptions options;
+        options.term_engine = term_engine;
+        options.num_threads = threads;
+        Session session(&live, options);
+        // Prime the cache.
+        ASSERT_TRUE(session.CountSolutions(condition).ok());
+        Structure cold_copy = PathWithReds(40, 5);
+        for (const TupleUpdate& u : script) {
+          Result<UpdateStats> applied = session.ApplyUpdate(u);
+          ASSERT_TRUE(applied.ok());
+          Result<bool> mirrored = ApplyToStructure(&cold_copy, u);
+          ASSERT_TRUE(mirrored.ok());
+          EXPECT_EQ(applied->changed, *mirrored);
+          Result<CountInt> warm = session.CountSolutions(condition);
+          EvalOptions cold_options = options;
+          cold_options.engine = Engine::kNaive;
+          Result<CountInt> cold = CountSolutions(condition, cold_copy,
+                                                 cold_options);
+          ASSERT_TRUE(warm.ok());
+          ASSERT_TRUE(cold.ok());
+          EXPECT_EQ(*warm, *cold)
+              << "condition=" << ToString(condition) << " threads=" << threads
+              << " update=" << UpdateToString(u, live.signature());
+        }
       }
     }
   }
