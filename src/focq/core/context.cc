@@ -248,9 +248,7 @@ Result<UpdateStats> EvalContext::ApplyUpdate(Structure* a,
   std::set<std::uint32_t> radii;
   for (const auto& [key, cover] : covers_) {
     radii.insert(key.first);
-    if (key.second == static_cast<int>(CoverBackend::kSparse)) {
-      radii.insert(2 * key.first);  // centre-side region of sparse covers
-    }
+    radii.insert(cover.cluster_radius);  // centre-side region (sparse: 2r)
   }
   for (const auto& [radius, spheres] : spheres_) radii.insert(radius);
 
@@ -286,7 +284,7 @@ Result<UpdateStats> EvalContext::ApplyUpdate(Structure* a,
       const bool exact =
           it->first.second == static_cast<int>(CoverBackend::kExact);
       const std::vector<VertexId>& vregion = region[r];
-      const std::vector<VertexId>& cregion = exact ? region[r] : region[2 * r];
+      const std::vector<VertexId>& cregion = region[cover.cluster_radius];
       if (2 * cregion.size() > n) {
         // Repair would touch most of the graph: drop the entry and let the
         // next access rebuild (counter contrast documented in EXPERIMENTS
@@ -319,7 +317,8 @@ Result<UpdateStats> EvalContext::ApplyUpdate(Structure* a,
                                   cover.centers[c])) {
             continue;
           }
-          std::vector<ElemId> ball = explorer.Explore(cover.centers[c], 2 * r);
+          std::vector<ElemId> ball =
+              explorer.Explore(cover.centers[c], cover.cluster_radius);
           std::sort(ball.begin(), ball.end());
           cover.clusters[c] = std::move(ball);
           ++stats.clusters_rebuilt;
@@ -349,7 +348,8 @@ Result<UpdateStats> EvalContext::ApplyUpdate(Structure* a,
           // No centre within r (a deletion isolated v's ball): promote v.
           std::uint32_t idx =
               static_cast<std::uint32_t>(cover.clusters.size());
-          std::vector<ElemId> cluster = explorer.Explore(v, 2 * r);
+          std::vector<ElemId> cluster =
+              explorer.Explore(v, cover.cluster_radius);
           std::sort(cluster.begin(), cluster.end());
           cover.centers.push_back(v);
           cover.clusters.push_back(std::move(cluster));

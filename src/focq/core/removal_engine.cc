@@ -40,22 +40,6 @@ struct Engine {
                                          const ClTerm& term,
                                          const std::vector<ElemId>& positions,
                                          std::uint32_t depth);
-
-  Result<std::vector<CountInt>> DirectAt(const Structure& s,
-                                         const Graph& gaifman,
-                                         const BasicClTerm& basic,
-                                         const std::vector<ElemId>& positions) {
-    ClTermBallEvaluator eval(s, gaifman);
-    BasicClTerm unary = basic;
-    unary.unary = true;
-    std::vector<CountInt> out(positions.size(), 0);
-    for (std::size_t i = 0; i < positions.size(); ++i) {
-      Result<CountInt> v = eval.EvaluateBasicAt(unary, positions[i]);
-      if (!v.ok()) return v.status();
-      out[i] = *v;
-    }
-    return out;
-  }
 };
 
 Result<std::vector<CountInt>> Engine::ClTermAt(
@@ -84,7 +68,7 @@ Result<std::vector<CountInt>> Engine::BasicAt(
     const std::vector<ElemId>& positions, std::uint32_t depth) {
   if (positions.empty()) return std::vector<CountInt>{};
   if (s.universe_size() <= options.base_size || depth >= options.max_depth) {
-    return DirectAt(s, gaifman, basic, positions);
+    return ClTermBallEvaluator(s, gaifman).EvaluateBasicAt(basic, positions);
   }
   const std::uint32_t cover_radius = RequiredCoverRadius(basic);
   // The top-level arena is the caller's structure, so its cover can come
@@ -158,7 +142,8 @@ Result<std::vector<CountInt>> Engine::BasicAt(
         // Fall through to removal: it still strictly shrinks the arena.
       } else {
         Result<std::vector<CountInt>> values =
-            DirectAt(view.structure, sub_gaifman, basic, local_positions);
+            ClTermBallEvaluator(view.structure, sub_gaifman)
+                .EvaluateBasicAt(basic, local_positions);
         if (!values.ok()) return values;
         for (std::size_t j = 0; j < wanted[c].size(); ++j) {
           out[wanted[c][j]] = (*values)[j];
@@ -211,8 +196,8 @@ Result<std::vector<CountInt>> Engine::BasicAt(
             unit.kernel = part.body;
             unit.radius = 0;
             unit.pattern = PatternGraph(1, 0);
-            return DirectAt(removed.structure, removed_gaifman, unit,
-                            removed_positions);
+            return ClTermBallEvaluator(removed.structure, removed_gaifman)
+                .EvaluateBasicAt(unit, removed_positions);
           }
           Result<Decomposition> dec =
               DecomposeCount(part.vars, true, part.body);

@@ -56,6 +56,7 @@ Result<std::vector<CountInt>> ClTermCoverEvaluator::EvaluateBasicAll(
   ParallelFor(
       num_threads_, num_clusters,
       [&](std::size_t chunk, std::size_t begin, std::size_t end) {
+        std::vector<ElemId> local_anchors;
         for (std::size_t c = begin; c < end; ++c) {
           if (progress_ != nullptr) {
             if (progress_->ShouldStop()) return;  // drain on hard deadline
@@ -70,14 +71,19 @@ Result<std::vector<CountInt>> ClTermCoverEvaluator::EvaluateBasicAll(
           clusters_materialized.Add(chunk, 1);
           cluster_elements.Add(
               chunk, static_cast<std::int64_t>(cover_.clusters[c].size()));
-          for (ElemId a : anchors_of_cluster_[c]) {
-            Result<CountInt> v =
-                sub_eval.EvaluateBasicAt(basic, view.ToLocal(a));
-            if (!v.ok()) {
-              chunk_status[chunk] = v.status();
-              return;
-            }
-            out[a] = *v;
+          const std::vector<ElemId>& cluster_anchors = anchors_of_cluster_[c];
+          local_anchors.clear();
+          for (ElemId a : cluster_anchors) {
+            local_anchors.push_back(view.ToLocal(a));
+          }
+          Result<std::vector<CountInt>> v =
+              sub_eval.EvaluateBasicAt(basic, local_anchors);
+          if (!v.ok()) {
+            chunk_status[chunk] = v.status();
+            return;
+          }
+          for (std::size_t i = 0; i < cluster_anchors.size(); ++i) {
+            out[cluster_anchors[i]] = (*v)[i];
           }
           const ClTermBallEvaluator::ExploreStats& es =
               sub_eval.explore_stats();

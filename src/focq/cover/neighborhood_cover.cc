@@ -122,7 +122,7 @@ NeighborhoodCover SparseCover(const Graph& gaifman, std::uint32_t r,
                               ProgressSink* progress) {
   NeighborhoodCover cover;
   cover.r = r;
-  cover.cluster_radius = 2 * r;
+  cover.cluster_radius = SaturatedRadius(2 * std::uint64_t{r});
   std::size_t n = gaifman.num_vertices();
   cover.assignment.assign(n, 0);
   if (progress != nullptr) {
@@ -167,7 +167,8 @@ NeighborhoodCover SparseCover(const Graph& gaifman, std::uint32_t r,
                 for (std::size_t c = begin; c < end; ++c) {
                   if (progress != nullptr && progress->ShouldStop()) return;
                   std::vector<ElemId> ball =
-                      chunk_explorer.Explore(cover.centers[c], 2 * r);
+                      chunk_explorer.Explore(cover.centers[c],
+                                             cover.cluster_radius);
                   std::sort(ball.begin(), ball.end());
                   bfs_vertices.Add(chunk,
                                    static_cast<std::int64_t>(ball.size()));

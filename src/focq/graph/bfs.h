@@ -16,6 +16,15 @@ namespace focq {
 inline constexpr std::uint32_t kInfiniteDistance =
     std::numeric_limits<std::uint32_t>::max();
 
+/// Radius arithmetic: `r`, computed in 64 bits from uint32 radii and
+/// distance bounds, saturated at kInfiniteDistance. Saturation is exact:
+/// ids are uint32, so every finite distance is below kInfiniteDistance, and
+/// a ball of radius kInfiniteDistance is the whole component.
+constexpr std::uint32_t SaturatedRadius(std::uint64_t r) {
+  return r < kInfiniteDistance ? static_cast<std::uint32_t>(r)
+                               : kInfiniteDistance;
+}
+
 /// Distances from `source` to every vertex (kInfiniteDistance if unreachable).
 std::vector<std::uint32_t> BfsDistances(const Graph& g, VertexId source);
 

@@ -154,16 +154,17 @@ Result<std::vector<CountInt>> HanfEvaluator::EvaluateBasicAll(
                       static_cast<SphereTypeId>(id));
                   Graph rep_gaifman = BuildGaifmanGraph(rep);
                   ClTermBallEvaluator eval(rep, rep_gaifman);
-                  BasicClTerm unary = basic;
-                  unary.unary = true;
-                  Result<CountInt> value = eval.EvaluateBasicAt(
-                      unary, types.registry.RepresentativeCenter(
-                                 static_cast<SphereTypeId>(id)));
+                  const ElemId center = types.registry.RepresentativeCenter(
+                      static_cast<SphereTypeId>(id));
+                  Result<std::vector<CountInt>> value =
+                      eval.EvaluateBasicAt(basic, {&center, 1});
                   if (!value.ok()) {
                     chunk_status[chunk] = value.status();
                     return;
                   }
-                  for (ElemId e : types.elements_of_type[id]) out[e] = *value;
+                  for (ElemId e : types.elements_of_type[id]) {
+                    out[e] = (*value)[0];
+                  }
                   if (progress_ != nullptr) {
                     progress_->Advance(ProgressPhase::kHanf, 1);
                   }

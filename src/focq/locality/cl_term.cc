@@ -1,6 +1,7 @@
 #include "focq/locality/cl_term.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "focq/util/checked_arith.h"
 #include "focq/util/thread_pool.h"
@@ -123,6 +124,305 @@ ClTerm ClTerm::Mul(const ClTerm& a, const ClTerm& b) {
   return out;
 }
 
+namespace {
+
+/// One basic, planned for one evaluation call on one structure: the
+/// placement order and the compiled kernel. Read-only once built, so chunk
+/// workers share it. Relation pointers point into the structure's relation
+/// vector, which AddUnarySymbol grows: a plan never outlives its call.
+struct BasicPlan {
+  /// The kernel program's operations. Slots are pattern positions.
+  enum class Code : std::uint8_t {
+    kConst,   // value
+    kEqual,   // elems[a] == elems[b]
+    kMember,  // members[index][elems[a]]: an arity-1 atom
+    kAtom,    // relations[index] holds elems[slots[a..b)]: arity >= 2
+    kDist,    // dist(elems[a], elems[b]) <= radii[index]
+    kNot,     // the child at pc + 1
+    kAnd,     // children from pc + 1, each starting at its sibling's end
+    kOr,
+    kCall,    // calls[index] on the LocalEvaluator, Env bound from elems
+  };
+  struct Op {
+    Code code = Code::kConst;
+    bool value = false;
+    std::uint32_t end = 0;  // one past this op's subtree
+    std::uint32_t a = 0;
+    std::uint32_t b = 0;
+    std::uint32_t index = 0;
+  };
+
+  const BasicClTerm* basic = nullptr;
+  // Pattern positions in BFS order from y1: each later position draws its
+  // candidates from the separation ball of an already placed pattern
+  // neighbour, its parent.
+  std::vector<int> order;
+  std::vector<int> parent;
+  // The kernel, ops in prefix order, and what its leaves resolved to.
+  std::vector<Op> ops;
+  std::vector<const Relation*> relations;
+  std::vector<std::uint32_t> slots;
+  std::vector<SymbolId> member_symbols;
+  std::vector<std::vector<std::uint8_t>> members;  // dense over the universe
+  std::vector<std::uint32_t> radii;
+  std::vector<Formula> calls;
+};
+
+/// Compiles a kernel into plan->ops, resolving every leaf once: a symbol
+/// must exist with the atom's arity and every variable must be a pattern
+/// position, checked here rather than per placement. Nodes the program does
+/// not cover (guarded quantifiers, counting) become call ops.
+class KernelCompiler {
+ public:
+  KernelCompiler(const Structure& structure, BasicPlan* plan)
+      : structure_(structure), plan_(*plan) {}
+
+  void Emit(const ExprRef& ref) {
+    using Code = BasicPlan::Code;
+    const Expr& e = *ref;
+    const std::size_t at = plan_.ops.size();
+    plan_.ops.emplace_back();
+    BasicPlan::Op op;
+    switch (e.kind) {
+      case ExprKind::kTrue:
+      case ExprKind::kFalse:
+        op.value = e.kind == ExprKind::kTrue;
+        break;
+      case ExprKind::kEqual:
+        op.code = Code::kEqual;
+        op.a = SlotOf(e.vars[0]);
+        op.b = SlotOf(e.vars[1]);
+        break;
+      case ExprKind::kDistAtom:
+        op.code = Code::kDist;
+        op.a = SlotOf(e.vars[0]);
+        op.b = SlotOf(e.vars[1]);
+        op.index = IndexOf(&plan_.radii, e.dist_bound);
+        break;
+      case ExprKind::kAtom: {
+        std::optional<SymbolId> id = structure_.signature().Find(e.symbol_name);
+        FOCQ_CHECK(id.has_value());
+        const Relation& relation = structure_.relation(*id);
+        FOCQ_CHECK_EQ(relation.arity(), static_cast<int>(e.vars.size()));
+        if (relation.arity() == 0) {
+          op.value = relation.NumTuples() > 0;
+        } else if (relation.arity() == 1) {
+          op.code = Code::kMember;
+          op.a = SlotOf(e.vars[0]);
+          op.index = MemberIndex(*id, relation);
+        } else {
+          op.code = Code::kAtom;
+          op.index = static_cast<std::uint32_t>(plan_.relations.size());
+          plan_.relations.push_back(&relation);
+          op.a = static_cast<std::uint32_t>(plan_.slots.size());
+          for (Var v : e.vars) plan_.slots.push_back(SlotOf(v));
+          op.b = static_cast<std::uint32_t>(plan_.slots.size());
+        }
+        break;
+      }
+      case ExprKind::kNot:
+      case ExprKind::kAnd:
+      case ExprKind::kOr:
+        op.code = e.kind == ExprKind::kNot   ? Code::kNot
+                  : e.kind == ExprKind::kAnd ? Code::kAnd
+                                             : Code::kOr;
+        for (const ExprRef& child : e.children) Emit(child);
+        break;
+      default:
+        op.code = Code::kCall;
+        op.index = static_cast<std::uint32_t>(plan_.calls.size());
+        plan_.calls.emplace_back(ref);
+        break;
+    }
+    op.end = static_cast<std::uint32_t>(plan_.ops.size());
+    plan_.ops[at] = op;
+  }
+
+ private:
+  std::uint32_t SlotOf(Var v) const {
+    const std::vector<Var>& vars = plan_.basic->vars;
+    auto it = std::find(vars.begin(), vars.end(), v);
+    FOCQ_CHECK(it != vars.end());
+    return static_cast<std::uint32_t>(it - vars.begin());
+  }
+
+  template <typename T>
+  static std::uint32_t IndexOf(std::vector<T>* values, T value) {
+    auto it = std::find(values->begin(), values->end(), value);
+    if (it == values->end()) it = values->insert(it, value);
+    return static_cast<std::uint32_t>(it - values->begin());
+  }
+
+  std::uint32_t MemberIndex(SymbolId id, const Relation& relation) {
+    const std::uint32_t index = IndexOf(&plan_.member_symbols, id);
+    if (index == plan_.members.size()) {
+      std::vector<std::uint8_t>& member = plan_.members.emplace_back(
+          structure_.universe_size(), std::uint8_t{0});
+      for (TupleRef t : relation.tuples()) member[t[0]] = 1;
+    }
+    return index;
+  }
+
+  const Structure& structure_;
+  BasicPlan& plan_;
+};
+
+BasicPlan PlanBasic(const BasicClTerm& basic, const Structure& structure) {
+  const int k = basic.width();
+  FOCQ_CHECK_GE(k, 1);
+  FOCQ_CHECK(basic.pattern.IsConnected());
+  FOCQ_CHECK_EQ(basic.pattern.num_vertices(), k);
+  BasicPlan plan;
+  plan.basic = &basic;
+  plan.order = {0};
+  plan.parent.assign(k, -1);
+  std::vector<bool> in_order(k, false);
+  in_order[0] = true;
+  for (std::size_t head = 0; head < plan.order.size(); ++head) {
+    int u = plan.order[head];
+    for (int v = 0; v < k; ++v) {
+      if (!in_order[v] && basic.pattern.HasEdge(u, v)) {
+        in_order[v] = true;
+        plan.parent[v] = u;
+        plan.order.push_back(v);
+      }
+    }
+  }
+  FOCQ_CHECK_EQ(plan.order.size(), static_cast<std::size_t>(k));
+  KernelCompiler(structure, &plan).Emit(basic.kernel.ref());
+  return plan;
+}
+
+/// One worker's mutable side of a plan: its oracles (a lazy oracle is not
+/// thread-safe, so each worker has its own), the partial placement, the
+/// atom-probe tuple, the Env that call ops read, and its exploration tally.
+/// The enumeration itself allocates nothing once the balls it reads exist.
+struct Placement {
+  Placement(const BasicPlan& p, LocalEvaluator* e) : plan(p), eval(e) {
+    if (plan.basic->width() > 1) {
+      separation = &eval->OracleFor(plan.basic->Separation());
+    }
+    for (std::uint32_t d : plan.radii) oracles.push_back(&eval->OracleFor(d));
+    elems.assign(plan.basic->width(), 0);
+    tuple.assign(plan.slots.size(), 0);
+  }
+
+  const BasicPlan& plan;
+  LocalEvaluator* eval;
+  ClosenessOracle* separation = nullptr;  // none for width 1
+  std::vector<ClosenessOracle*> oracles;  // by plan.radii
+  std::vector<ElemId> elems;              // by pattern position
+  std::vector<ElemId> tuple;              // by plan.slots
+  Env env;
+  ClTermBallEvaluator::ExploreStats stats;
+};
+
+/// Runs the kernel program's subtree at `pc` on the placement p->elems.
+bool Run(const BasicPlan& plan, std::uint32_t pc, Placement* p) {
+  using Code = BasicPlan::Code;
+  const BasicPlan::Op& op = plan.ops[pc];
+  const ElemId* elems = p->elems.data();
+  switch (op.code) {
+    case Code::kConst:
+      return op.value;
+    case Code::kEqual:
+      return elems[op.a] == elems[op.b];
+    case Code::kMember:
+      return plan.members[op.index][elems[op.a]] != 0;
+    case Code::kAtom:
+      for (std::uint32_t i = op.a; i < op.b; ++i) {
+        p->tuple[i] = elems[plan.slots[i]];
+      }
+      return plan.relations[op.index]->Contains(
+          TupleRef(p->tuple.data() + op.a, op.b - op.a));
+    case Code::kDist:
+      return p->oracles[op.index]->Close(elems[op.a], elems[op.b]);
+    case Code::kNot:
+      return !Run(plan, pc + 1, p);
+    case Code::kAnd:
+      for (std::uint32_t c = pc + 1; c < op.end; c = plan.ops[c].end) {
+        if (!Run(plan, c, p)) return false;
+      }
+      return true;
+    case Code::kOr:
+      for (std::uint32_t c = pc + 1; c < op.end; c = plan.ops[c].end) {
+        if (Run(plan, c, p)) return true;
+      }
+      return false;
+    case Code::kCall:
+      return p->eval->Satisfies(plan.calls[op.index], &p->env);
+  }
+  FOCQ_CHECK(false);
+  return false;
+}
+
+/// Checks the kernel on the full placement p->elems.
+bool KernelHolds(Placement* p) {
+  ++p->stats.placements;
+  if (!p->plan.calls.empty()) {
+    const std::vector<Var>& vars = p->plan.basic->vars;
+    for (std::size_t i = 0; i < vars.size(); ++i) {
+      p->env.Bind(vars[i], p->elems[i]);
+    }
+  }
+  return Run(p->plan, 0, p);
+}
+
+/// Depth-first placement of plan.order[depth..]; adds every full placement
+/// whose kernel holds to *count.
+void Place(Placement* p, int depth, CountInt* count, bool* overflow) {
+  const BasicPlan& plan = p->plan;
+  const PatternGraph& pattern = plan.basic->pattern;
+  if (depth == plan.basic->width()) {
+    if (!KernelHolds(p)) return;
+    auto next = CheckedAdd(*count, 1);
+    if (!next) {
+      *overflow = true;
+      return;
+    }
+    *count = *next;
+    return;
+  }
+  const int pos = plan.order[depth];
+  const int parent = plan.parent[pos];
+  ++p->stats.balls;
+  // Candidates: the separation ball of the parent, which is close to each
+  // of them by construction; every other placed position must be close to
+  // the candidate exactly when the pattern joins it to `pos`.
+  for (ElemId c : p->separation->BallOf(p->elems[parent])) {
+    bool ok = true;
+    for (int j = 0; j < depth && ok; ++j) {
+      const int i = plan.order[j];
+      if (i == parent) continue;
+      ok = p->separation->Close(p->elems[i], c) == pattern.HasEdge(i, pos);
+    }
+    if (!ok) continue;
+    p->elems[pos] = c;
+    Place(p, depth + 1, count, overflow);
+    if (*overflow) return;
+  }
+}
+
+/// Counts the placements anchored at y1 = anchor whose kernel holds.
+Result<CountInt> CountAnchored(Placement* p, ElemId anchor) {
+  ++p->stats.anchors;
+  p->elems[0] = anchor;
+  CountInt count = 0;
+  bool overflow = false;
+  Place(p, 1, &count, &overflow);
+  if (overflow) return Status::OutOfRange("cl-term count overflows int64");
+  return count;
+}
+
+void AddStats(const ClTermBallEvaluator::ExploreStats& from,
+              ClTermBallEvaluator::ExploreStats* to) {
+  to->anchors += from.anchors;
+  to->balls += from.balls;
+  to->placements += from.placements;
+}
+
+}  // namespace
+
 ClTermBallEvaluator::ClTermBallEvaluator(const Structure& structure,
                                          const Graph& gaifman, int num_threads,
                                          MetricsSink* metrics,
@@ -136,131 +436,32 @@ ClTermBallEvaluator::ClTermBallEvaluator(const Structure& structure,
       tables_(tables),
       eval_(structure, gaifman, tables) {}
 
-void ClTermBallEvaluator::FlushExploreDelta(const ExploreStats& before) {
-  if (metrics_ == nullptr) return;
-  metrics_->AddCounter("clterm.basics_evaluated", 1);
-  metrics_->AddCounter("clterm.anchors_evaluated",
-                       explore_stats_.anchors - before.anchors);
-  metrics_->AddCounter("clterm.balls_fetched",
-                       explore_stats_.balls - before.balls);
-  metrics_->AddCounter("clterm.placements_checked",
-                       explore_stats_.placements - before.placements);
-}
-
-ClosenessOracle& ClTermBallEvaluator::OracleFor(std::uint32_t d) {
-  std::unique_ptr<ClosenessOracle>& slot = oracles_[d];
-  if (slot == nullptr) slot = MakeOracle(gaifman_, tables_, d);
-  return *slot;
-}
-
-ClTermBallEvaluator::Placement ClTermBallEvaluator::Plan(
-    const BasicClTerm& basic) {
-  const int k = basic.width();
-  FOCQ_CHECK_GE(k, 1);
-  FOCQ_CHECK(basic.pattern.IsConnected());
-  FOCQ_CHECK_EQ(basic.pattern.num_vertices(), k);
-  Placement p;
-  p.basic = &basic;
-  if (k > 1) p.oracle = &OracleFor(basic.Separation());
-  p.order = {0};
-  p.parent.assign(k, -1);
-  std::vector<bool> in_order(k, false);
-  in_order[0] = true;
-  for (std::size_t head = 0; head < p.order.size(); ++head) {
-    int u = p.order[head];
-    for (int v = 0; v < k; ++v) {
-      if (!in_order[v] && basic.pattern.HasEdge(u, v)) {
-        in_order[v] = true;
-        p.parent[v] = u;
-        p.order.push_back(v);
-      }
-    }
+Result<std::vector<CountInt>> ClTermBallEvaluator::EvaluateBasicAt(
+    const BasicClTerm& basic, std::span<const ElemId> anchors) {
+  const BasicPlan plan = PlanBasic(basic, structure_);
+  Placement placement(plan, &eval_);
+  std::vector<CountInt> out(anchors.size(), 0);
+  for (std::size_t i = 0; i < anchors.size(); ++i) {
+    Result<CountInt> c = CountAnchored(&placement, anchors[i]);
+    if (!c.ok()) return c.status();
+    out[i] = *c;
   }
-  FOCQ_CHECK_EQ(p.order.size(), static_cast<std::size_t>(k));
-  p.elems.assign(k, 0);
-  return p;
+  AddStats(placement.stats, &explore_stats_);
+  return out;
 }
 
-bool ClTermBallEvaluator::KernelHolds(Placement* p) {
-  ++explore_stats_.placements;
-  const BasicClTerm& basic = *p->basic;
-  for (int i = 0; i < basic.width(); ++i) {
-    p->env.Bind(basic.vars[i], p->elems[i]);
-  }
-  return eval_.Satisfies(basic.kernel, &p->env);
-}
-
-void ClTermBallEvaluator::Place(Placement* p, int depth, CountInt* count,
-                                bool* overflow) {
-  const BasicClTerm& basic = *p->basic;
-  if (depth == basic.width()) {
-    if (!KernelHolds(p)) return;
-    auto next = CheckedAdd(*count, 1);
-    if (!next) {
-      *overflow = true;
-      return;
-    }
-    *count = *next;
-    return;
-  }
-  const int pos = p->order[depth];
-  const int parent = p->parent[pos];
-  ++explore_stats_.balls;
-  // Candidates: the separation ball of the parent, which is close to each
-  // of them by construction; every other placed position must be close to
-  // the candidate exactly when the pattern joins it to `pos`.
-  for (ElemId c : p->oracle->BallOf(p->elems[parent])) {
-    bool ok = true;
-    for (int j = 0; j < depth && ok; ++j) {
-      const int i = p->order[j];
-      if (i == parent) continue;
-      ok = p->oracle->Close(p->elems[i], c) == basic.pattern.HasEdge(i, pos);
-    }
-    if (!ok) continue;
-    p->elems[pos] = c;
-    Place(p, depth + 1, count, overflow);
-    if (*overflow) return;
-  }
-}
-
-Result<CountInt> ClTermBallEvaluator::CountAnchored(Placement* p,
-                                                    ElemId anchor) {
-  ++explore_stats_.anchors;
-  p->elems[0] = anchor;
-  CountInt count = 0;
-  bool overflow = false;
-  Place(p, 1, &count, &overflow);
-  if (overflow) return Status::OutOfRange("cl-term count overflows int64");
-  return count;
-}
-
-Result<std::vector<CountInt>> ClTermBallEvaluator::EvaluateBasicAll(
-    const BasicClTerm& basic) {
-  FOCQ_CHECK(basic.unary);
+template <typename Record>
+Status ClTermBallEvaluator::CountEveryAnchor(const BasicClTerm& basic,
+                                             Record record) {
   const std::size_t n = structure_.universe_size();
-  const ExploreStats before = explore_stats_;
-  std::vector<CountInt> out(n, 0);
+  const BasicPlan plan = PlanBasic(basic, structure_);
   if (progress_ != nullptr) {
     progress_->AddTotal(ProgressPhase::kClTerm, static_cast<std::int64_t>(n));
   }
-  if (num_threads_ <= 1) {
-    Placement placement = Plan(basic);
-    for (ElemId a = 0; a < n; ++a) {
-      if (progress_ != nullptr && progress_->ShouldStop()) {
-        return progress_->DeadlineStatus();
-      }
-      Result<CountInt> c = CountAnchored(&placement, a);
-      if (!c.ok()) return c.status();
-      out[a] = *c;
-      if (progress_ != nullptr) progress_->Advance(ProgressPhase::kClTerm, 1);
-    }
-    FlushExploreDelta(before);
-    return out;
-  }
-  // Each chunk gets a serial worker evaluator (the lazy oracle and index
-  // caches are not thread-safe; lent tables are only read) and writes
-  // disjoint anchor slots; errors are surfaced in chunk order so failure
-  // reporting is deterministic too. Worker exploration tallies land in
+  // Chunks record disjoint anchors or per-chunk partials and surface errors
+  // in chunk order, so failure reporting is deterministic too. Each chunk
+  // worker shares the plan and the lent tables and owns its oracles and
+  // scratch (one chunk uses this evaluator's). Worker tallies land in
   // per-chunk shards and reduce after the join, so the flushed totals match
   // the serial run.
   const std::size_t num_chunks = MakeChunkGrid(n, num_threads_).num_chunks;
@@ -269,25 +470,31 @@ Result<std::vector<CountInt>> ClTermBallEvaluator::EvaluateBasicAll(
       placements(num_chunks);
   ParallelFor(num_threads_, n,
               [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-                ClTermBallEvaluator worker(structure_, gaifman_, 1, nullptr,
-                                           nullptr, tables_);
-                Placement placement = worker.Plan(basic);
+                std::optional<LocalEvaluator> own;
+                Placement placement(
+                    plan, num_chunks == 1
+                              ? &eval_
+                              : &own.emplace(structure_, gaifman_, tables_));
                 for (std::size_t a = begin; a < end; ++a) {
                   if (progress_ != nullptr && progress_->ShouldStop()) return;
-                  Result<CountInt> c = worker.CountAnchored(
-                      &placement, static_cast<ElemId>(a));
+                  const ElemId anchor = static_cast<ElemId>(a);
+                  Result<CountInt> c = CountAnchored(&placement, anchor);
                   if (!c.ok()) {
                     chunk_status[chunk] = c.status();
                     return;
                   }
-                  out[a] = *c;
+                  if (!record(chunk, anchor, *c)) {
+                    chunk_status[chunk] =
+                        Status::OutOfRange("cl-term count overflows int64");
+                    return;
+                  }
                   if (progress_ != nullptr) {
                     progress_->Advance(ProgressPhase::kClTerm, 1);
                   }
                 }
-                anchors.Add(chunk, worker.explore_stats_.anchors);
-                balls.Add(chunk, worker.explore_stats_.balls);
-                placements.Add(chunk, worker.explore_stats_.placements);
+                anchors.Add(chunk, placement.stats.anchors);
+                balls.Add(chunk, placement.stats.balls);
+                placements.Add(chunk, placement.stats.placements);
               });
   if (progress_ != nullptr && progress_->cancelled()) {
     return progress_->DeadlineStatus();
@@ -295,87 +502,48 @@ Result<std::vector<CountInt>> ClTermBallEvaluator::EvaluateBasicAll(
   for (const Status& s : chunk_status) {
     if (!s.ok()) return s;
   }
-  explore_stats_.anchors += anchors.Total();
-  explore_stats_.balls += balls.Total();
-  explore_stats_.placements += placements.Total();
-  FlushExploreDelta(before);
+  const ExploreStats delta{anchors.Total(), balls.Total(), placements.Total()};
+  AddStats(delta, &explore_stats_);
+  if (metrics_ != nullptr) {
+    metrics_->AddCounter("clterm.basics_evaluated", 1);
+    metrics_->AddCounter("clterm.anchors_evaluated", delta.anchors);
+    metrics_->AddCounter("clterm.balls_fetched", delta.balls);
+    metrics_->AddCounter("clterm.placements_checked", delta.placements);
+  }
+  return Status::Ok();
+}
+
+Result<std::vector<CountInt>> ClTermBallEvaluator::EvaluateBasicAll(
+    const BasicClTerm& basic) {
+  FOCQ_CHECK(basic.unary);
+  std::vector<CountInt> out(structure_.universe_size(), 0);
+  Status status = CountEveryAnchor(
+      basic, [&out](std::size_t, ElemId anchor, CountInt count) {
+        out[anchor] = count;
+        return true;
+      });
+  if (!status.ok()) return status;
   return out;
 }
 
 Result<CountInt> ClTermBallEvaluator::EvaluateBasicGround(
     const BasicClTerm& basic) {
   FOCQ_CHECK(!basic.unary);
-  const std::size_t n = structure_.universe_size();
-  const ExploreStats before = explore_stats_;
-  if (progress_ != nullptr) {
-    progress_->AddTotal(ProgressPhase::kClTerm, static_cast<std::int64_t>(n));
-  }
-  if (num_threads_ <= 1) {
-    CountInt total = 0;
-    Placement placement = Plan(basic);
-    for (ElemId a = 0; a < n; ++a) {
-      if (progress_ != nullptr && progress_->ShouldStop()) {
-        return progress_->DeadlineStatus();
-      }
-      Result<CountInt> c = CountAnchored(&placement, a);
-      if (!c.ok()) return c.status();
-      auto sum = CheckedAdd(total, *c);
-      if (!sum) return Status::OutOfRange("cl-term count overflows int64");
-      total = *sum;
-      if (progress_ != nullptr) progress_->Advance(ProgressPhase::kClTerm, 1);
-    }
-    FlushExploreDelta(before);
-    return total;
-  }
   // Per-chunk partial counts, reduced in chunk order. Anchored counts are
   // non-negative, so the partial sums overflow exactly when the serial
   // running sum would: the parallel value (and error) is bit-identical.
-  const std::size_t num_chunks = MakeChunkGrid(n, num_threads_).num_chunks;
-  std::vector<CountInt> partial(num_chunks, 0);
-  std::vector<Status> chunk_status(num_chunks, Status::Ok());
-  ShardedCounter anchors(num_chunks), balls(num_chunks),
-      placements(num_chunks);
-  ParallelFor(num_threads_, n,
-              [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-                ClTermBallEvaluator worker(structure_, gaifman_, 1, nullptr,
-                                           nullptr, tables_);
-                Placement placement = worker.Plan(basic);
-                CountInt acc = 0;
-                for (std::size_t a = begin; a < end; ++a) {
-                  if (progress_ != nullptr && progress_->ShouldStop()) return;
-                  Result<CountInt> c = worker.CountAnchored(
-                      &placement, static_cast<ElemId>(a));
-                  if (!c.ok()) {
-                    chunk_status[chunk] = c.status();
-                    return;
-                  }
-                  auto sum = CheckedAdd(acc, *c);
-                  if (!sum) {
-                    chunk_status[chunk] =
-                        Status::OutOfRange("cl-term count overflows int64");
-                    return;
-                  }
-                  acc = *sum;
-                  if (progress_ != nullptr) {
-                    progress_->Advance(ProgressPhase::kClTerm, 1);
-                  }
-                }
-                partial[chunk] = acc;
-                anchors.Add(chunk, worker.explore_stats_.anchors);
-                balls.Add(chunk, worker.explore_stats_.balls);
-                placements.Add(chunk, worker.explore_stats_.placements);
-              });
-  if (progress_ != nullptr && progress_->cancelled()) {
-    return progress_->DeadlineStatus();
-  }
-  explore_stats_.anchors += anchors.Total();
-  explore_stats_.balls += balls.Total();
-  explore_stats_.placements += placements.Total();
-  FlushExploreDelta(before);
+  std::vector<CountInt> partial(
+      MakeChunkGrid(structure_.universe_size(), num_threads_).num_chunks, 0);
+  Status status = CountEveryAnchor(
+      basic, [&partial](std::size_t chunk, ElemId, CountInt count) {
+        auto sum = CheckedAdd(partial[chunk], count);
+        if (sum) partial[chunk] = *sum;
+        return sum.has_value();
+      });
+  if (!status.ok()) return status;
   CountInt total = 0;
-  for (std::size_t c = 0; c < num_chunks; ++c) {
-    if (!chunk_status[c].ok()) return chunk_status[c];
-    auto sum = CheckedAdd(total, partial[c]);
+  for (CountInt p : partial) {
+    auto sum = CheckedAdd(total, p);
     if (!sum) return Status::OutOfRange("cl-term count overflows int64");
     total = *sum;
   }
@@ -442,7 +610,8 @@ Result<std::vector<CountInt>> CombineMonomials(
 }
 
 std::uint32_t RequiredCoverRadius(const BasicClTerm& basic) {
-  return static_cast<std::uint32_t>(basic.width()) * basic.Separation();
+  return SaturatedRadius(static_cast<std::uint64_t>(basic.width()) *
+                         basic.Separation());
 }
 
 std::set<std::uint32_t> BallRadii(const ClTerm& term) {

@@ -20,8 +20,10 @@
 
 #include <cstdint>
 #include <set>
+#include <span>
 #include <vector>
 
+#include "focq/graph/bfs.h"
 #include "focq/graph/pattern_graph.h"
 #include "focq/locality/local_eval.h"
 #include "focq/logic/expr.h"
@@ -43,8 +45,10 @@ struct BasicClTerm {
 
   int width() const { return static_cast<int>(vars.size()); }
 
-  /// The separation threshold of the delta-pattern: 2r+1.
-  std::uint32_t Separation() const { return 2 * radius + 1; }
+  /// The separation threshold of the delta-pattern: 2r+1 (saturated).
+  std::uint32_t Separation() const {
+    return SaturatedRadius(2 * std::uint64_t{radius} + 1);
+  }
 };
 
 /// An integer polynomial over basic cl-terms:
@@ -110,12 +114,22 @@ std::set<std::uint32_t> BallRadii(const ClTerm& term);
 
 /// Evaluates cl-terms on one structure by local exploration.
 ///
+/// Each basic is planned once per evaluation call (Theorem 5.5's
+/// query-dependent part): its pattern positions get a BFS placement order,
+/// and its kernel is compiled into a flat program over those positions,
+/// with every atom, distance oracle and variable resolved at compile time.
+/// The data-bound loop over anchors and placements then runs that program
+/// on each full placement instead of interpreting the kernel. Subformulas
+/// the program does not cover (guarded quantifiers, counting) are handed
+/// to a LocalEvaluator. A plan points into the structure's relations, so it
+/// lives for one call and is never cached.
+///
 /// Thread-compatible, not thread-safe (mutable oracle/index caches). With
-/// num_threads > 1 the per-anchor loops of EvaluateBasicAll /
-/// EvaluateBasicGround fan out over worker-local evaluators; partial counts
-/// are reduced in chunk order with checked arithmetic, so the result is
-/// bit-identical to the serial evaluation. Lent ball tables are shared
-/// read-only by the evaluator, its kernel evaluator and every worker.
+/// num_threads > 1 the per-anchor loop of EvaluateBasicAll /
+/// EvaluateBasicGround fans out over chunk workers that share the plan and
+/// the lent ball tables read-only and keep their own oracles and scratch;
+/// partial counts are reduced in chunk order with checked arithmetic, so
+/// the result is bit-identical to the serial evaluation.
 class ClTermBallEvaluator {
  public:
   /// Exploration-work tally (see DESIGN.md, "Observability"): anchors is the
@@ -151,12 +165,11 @@ class ClTermBallEvaluator {
   /// Values of a unary basic cl-term at every element of the universe.
   Result<std::vector<CountInt>> EvaluateBasicAll(const BasicClTerm& basic);
 
-  /// Value of a unary basic cl-term at one element (pattern placements
-  /// anchored at y1 = anchor).
-  Result<CountInt> EvaluateBasicAt(const BasicClTerm& basic, ElemId anchor) {
-    Placement placement = Plan(basic);
-    return CountAnchored(&placement, anchor);
-  }
+  /// Values of `basic` at each of `anchors` (pattern placements anchored at
+  /// y1 = anchor; the unary flag is ignored), serially, with one plan for
+  /// the whole list.
+  Result<std::vector<CountInt>> EvaluateBasicAt(
+      const BasicClTerm& basic, std::span<const ElemId> anchors);
 
   /// Value of a ground basic cl-term (sum over anchors of the unary values).
   Result<CountInt> EvaluateBasicGround(const BasicClTerm& basic);
@@ -169,36 +182,12 @@ class ClTermBallEvaluator {
   Result<std::vector<CountInt>> EvaluateAll(const ClTerm& term);
 
  private:
-  /// One basic's placement order plus the scratch every anchor reuses, built
-  /// once per basic: the pattern positions in BFS order from y1 (each later
-  /// position draws its candidates from the separation ball of an already
-  /// placed pattern neighbour, its parent), the separation oracle (none for
-  /// width 1), the partial placement and the kernel's environment.
-  struct Placement {
-    const BasicClTerm* basic = nullptr;
-    ClosenessOracle* oracle = nullptr;
-    std::vector<int> order;
-    std::vector<int> parent;
-    std::vector<ElemId> elems;
-    Env env;
-  };
-  Placement Plan(const BasicClTerm& basic);
-
-  /// Core enumeration: counts pattern placements anchored at y1 = anchor and
-  /// satisfying the kernel. It works in p's scratch, so the enumeration
-  /// itself allocates nothing once the balls it reads exist.
-  Result<CountInt> CountAnchored(Placement* p, ElemId anchor);
-
-  /// Depth-first placement of p->order[depth..]; adds every full placement
-  /// whose kernel holds to *count.
-  void Place(Placement* p, int depth, CountInt* count, bool* overflow);
-
-  /// Checks the kernel on the full placement p->elems.
-  bool KernelHolds(Placement* p);
-
-  /// Flushes the ExploreStats delta accumulated since `before` (plus one
-  /// basic evaluated) into metrics_, if installed.
-  void FlushExploreDelta(const ExploreStats& before);
+  /// The planned placement loop behind EvaluateBasicAll and
+  /// EvaluateBasicGround: plans `basic` once, counts the placements anchored
+  /// at every element on the chunk grid and hands each count to
+  /// record(chunk, anchor, count), which returns false on int64 overflow.
+  template <typename Record>
+  Status CountEveryAnchor(const BasicClTerm& basic, Record record);
 
   const Structure& structure_;
   const Graph& gaifman_;
@@ -208,9 +197,6 @@ class ClTermBallEvaluator {
   const BallTables* tables_;
   LocalEvaluator eval_;
   ExploreStats explore_stats_;
-  std::unordered_map<std::uint32_t, std::unique_ptr<ClosenessOracle>> oracles_;
-
-  ClosenessOracle& OracleFor(std::uint32_t d);
 };
 
 }  // namespace focq

@@ -5,6 +5,7 @@
 #include <set>
 #include <unordered_map>
 
+#include "focq/graph/bfs.h"
 #include "focq/logic/build.h"
 #include "focq/logic/printer.h"
 
@@ -47,7 +48,8 @@ Result<ExprRef> Purify(const ExprRef& e, const AnchorMap& anchors,
           auto aj = anchors.find(e->vars[j]);
           FOCQ_CHECK(aj != anchors.end());
           if (ai->second.component == aj->second.component) continue;
-          if (ai->second.slack + leaf_reach + aj->second.slack <= sep) {
+          if (SaturatedRadius(std::uint64_t{ai->second.slack} + leaf_reach +
+                              aj->second.slack) <= sep) {
             return False().ref();  // contradicts the component separation
           }
           return Status::Unsupported(
@@ -78,9 +80,9 @@ Result<ExprRef> Purify(const ExprRef& e, const AnchorMap& anchors,
       auto anchor_it = anchors.find(guard.anchor);
       FOCQ_CHECK(anchor_it != anchors.end());
       AnchorMap extended = anchors;
-      extended[e->vars[0]] =
-          Anchor{anchor_it->second.component,
-                 anchor_it->second.slack + guard.d};
+      extended[e->vars[0]] = Anchor{
+          anchor_it->second.component,
+          SaturatedRadius(std::uint64_t{anchor_it->second.slack} + guard.d)};
       Expr copy = *e;
       Result<ExprRef> p = Purify(copy.children[0], extended, sep);
       if (!p.ok()) return p;
@@ -309,7 +311,7 @@ Result<ClTerm> CountWithPattern(const Formula& kernel,
   const int k = static_cast<int>(vars.size());
   FOCQ_CHECK_GE(k, 1);
   FOCQ_CHECK_EQ(g.num_vertices(), k);
-  const std::uint32_t sep = 2 * r + 1;
+  const std::uint32_t sep = SaturatedRadius(2 * std::uint64_t{r} + 1);
 
   ExprRef folded = FoldConstants(kernel.ref());
   if (folded->kind == ExprKind::kFalse) return ClTerm();
@@ -460,7 +462,8 @@ Result<Decomposition> BasicLocalSentenceTerm(int k, std::uint32_t r, Var y,
   }
   for (int i = 0; i < k; ++i) {
     for (int j = i + 1; j < k; ++j) {
-      parts.push_back(Not(DistAtMost(ys[i], ys[j], 2 * r)));
+      parts.push_back(
+          Not(DistAtMost(ys[i], ys[j], SaturatedRadius(2 * std::uint64_t{r}))));
     }
   }
   return DecomposeCount(ys, /*unary=*/false, And(std::move(parts)));

@@ -91,7 +91,7 @@ std::optional<std::uint32_t> SyntacticLocalityRadius(const Expr& e) {
     case ExprKind::kFalse:
       return 0;
     case ExprKind::kDistAtom:
-      return (e.dist_bound + 1) / 2;
+      return SaturatedRadius((std::uint64_t{e.dist_bound} + 1) / 2);
     case ExprKind::kNot:
       return SyntacticLocalityRadius(*e.children[0]);
     case ExprKind::kOr:
@@ -112,7 +112,7 @@ std::optional<std::uint32_t> SyntacticLocalityRadius(const Expr& e) {
       if (!g.found) return std::nullopt;
       std::optional<std::uint32_t> rb = SyntacticLocalityRadius(body);
       if (!rb) return std::nullopt;
-      return g.d + *rb;
+      return SaturatedRadius(std::uint64_t{g.d} + *rb);
     }
     default:
       return std::nullopt;  // counting constructs are not FO+

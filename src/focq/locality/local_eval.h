@@ -97,13 +97,18 @@ class LocalEvaluator {
   Result<CountInt> Evaluate(const Term& t,
                             const std::vector<std::pair<Var, ElemId>>& binding);
 
+  /// The closeness oracle of radius d: the one cache of d-balls that every
+  /// dist atom and ball guard this evaluator checks shares. Table-backed
+  /// when the lent tables have radius d, else lazy. Stays valid for the
+  /// evaluator's lifetime.
+  ClosenessOracle& OracleFor(std::uint32_t d);
+
  private:
   friend class GuardProbe;
 
   bool EvalFormula(const Expr& e, Env* env);
   std::optional<CountInt> EvalTerm(const Expr& e, Env* env);
   bool DistanceAtMost(ElemId a, ElemId b, std::uint32_t d);
-  ClosenessOracle& OracleFor(std::uint32_t d);
   SymbolId ResolveAtom(const Expr& e);
 
   // Quantifier cores with guard detection. `is_exists` selects semantics.

@@ -16,33 +16,7 @@ std::size_t IndexCapacityFor(std::size_t rows) {
   return rows == 0 ? 0 : std::max<std::size_t>(8, std::bit_ceil(2 * rows));
 }
 
-// Row hash; its top bits pick the home slot.
-std::uint64_t HashRow(TupleRef t) {
-  std::uint64_t h = 0;
-  for (ElemId e : t) {
-    h = (h ^ e) * 0xbf58476d1ce4e5b9ULL;
-    h ^= h >> 31;
-  }
-  return h * 0x94d049bb133111ebULL;
-}
-
 }  // namespace
-
-std::size_t Relation::HomeSlot(TupleRef t) const {
-  return static_cast<std::size_t>(HashRow(t) >> shift_);
-}
-
-std::size_t Relation::Probe(TupleRef t) const {
-  const std::size_t mask = slots_.size() - 1;
-  const std::size_t k = static_cast<std::size_t>(arity_);
-  for (std::size_t s = HomeSlot(t);; s = (s + 1) & mask) {
-    const std::uint32_t row = slots_[s];
-    if (row == kEmptySlot ||
-        std::equal(t.begin(), t.end(), rows_.data() + row * k)) {
-      return s;
-    }
-  }
-}
 
 void Relation::Rehash(std::size_t capacity) {
   slots_.assign(capacity, kEmptySlot);

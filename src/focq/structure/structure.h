@@ -92,10 +92,34 @@ class Relation {
     const std::size_t k = static_cast<std::size_t>(arity_);
     return TupleRef(rows_.data() + row * k, k);
   }
-  std::size_t HomeSlot(TupleRef t) const;
+  /// Row hash; its top bits pick the home slot.
+  static std::uint64_t HashRow(TupleRef t) {
+    std::uint64_t h = 0;
+    for (ElemId e : t) {
+      h = (h ^ e) * 0xbf58476d1ce4e5b9ULL;
+      h ^= h >> 31;
+    }
+    return h * 0x94d049bb133111ebULL;
+  }
+  std::size_t HomeSlot(TupleRef t) const {
+    return static_cast<std::size_t>(HashRow(t) >> shift_);
+  }
   /// The slot holding `t`'s row number, or the empty slot that ends its probe
-  /// sequence. Requires a non-empty index.
-  std::size_t Probe(TupleRef t) const;
+  /// sequence. Requires a non-empty index. Inline, and rows are compared by
+  /// an element loop rather than a library call: kernel atoms probe once per
+  /// pattern placement.
+  std::size_t Probe(TupleRef t) const {
+    const std::size_t mask = slots_.size() - 1;
+    const std::size_t k = static_cast<std::size_t>(arity_);
+    for (std::size_t s = HomeSlot(t);; s = (s + 1) & mask) {
+      const std::uint32_t row = slots_[s];
+      if (row == kEmptySlot) return s;
+      const ElemId* stored = rows_.data() + row * k;
+      std::size_t i = 0;
+      while (i < k && stored[i] == t[i]) ++i;
+      if (i == k) return s;
+    }
+  }
   /// Rebuilds the index with `capacity` slots (a power of two).
   void Rehash(std::size_t capacity);
 

@@ -1,5 +1,7 @@
 #include "focq/testing/formula_gen.h"
 
+#include <cstdint>
+#include <iterator>
 #include <string>
 
 #include "focq/locality/local_eval.h"
@@ -15,6 +17,11 @@ namespace {
 Var BinderVar(int index) { return VarNamed("fzb" + std::to_string(index)); }
 
 Var FreePoolVar(int index) { return VarNamed("fz" + std::to_string(index)); }
+
+// Distance bounds around the powers of two of uint32, where the radius
+// arithmetic built on a bound (2r+1, k(2r+1), 2r) wraps unless it saturates.
+constexpr std::uint32_t kExtremeDistBounds[] = {
+    (1u << 30) - 1, 1u << 30, (1u << 31) - 1, 1u << 31, UINT32_MAX};
 
 }  // namespace
 
@@ -76,6 +83,11 @@ Formula FormulaGenerator::GenLeaf(const std::vector<Var>& scope) {
         Var x = scope[rng_->NextBelow(scope.size())];
         Var y = scope[rng_->NextBelow(scope.size())];
         if (x == y) break;
+        if (rng_->NextBool(1.0 / 16)) {
+          return DistAtMost(x, y,
+                            kExtremeDistBounds[rng_->NextBelow(
+                                std::size(kExtremeDistBounds))]);
+        }
         return DistAtMost(x, y, static_cast<std::uint32_t>(rng_->NextBelow(
                                     options_.max_dist_bound + 1)));
       }

@@ -29,7 +29,8 @@ struct FormulaGenOptions {
   int max_binders = 3;
   // Free-variable arity of generated formulas: 0, 1 or 2.
   int max_free_vars = 2;
-  // dist(x,y) <= d atoms with d <= max_dist_bound (0 disables them).
+  // dist(x,y) <= d atoms with d <= max_dist_bound (0 disables them); one in
+  // 16 draws d from a fixed set of bounds near 2^30, 2^31 and 2^32 instead.
   std::uint32_t max_dist_bound = 3;
   // Integer constants are drawn from [-max_const, max_const].
   std::int64_t max_const = 4;

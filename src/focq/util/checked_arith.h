@@ -16,14 +16,27 @@ namespace focq {
 /// The integer domain of counting terms.
 using CountInt = std::int64_t;
 
-/// Returns a+b, or nullopt on signed overflow.
-std::optional<CountInt> CheckedAdd(CountInt a, CountInt b);
+/// Returns a+b, or nullopt on signed overflow. Inline: the placement loops
+/// add once per counted tuple.
+inline std::optional<CountInt> CheckedAdd(CountInt a, CountInt b) {
+  CountInt out;
+  if (__builtin_add_overflow(a, b, &out)) return std::nullopt;
+  return out;
+}
 
 /// Returns a-b, or nullopt on signed overflow.
-std::optional<CountInt> CheckedSub(CountInt a, CountInt b);
+inline std::optional<CountInt> CheckedSub(CountInt a, CountInt b) {
+  CountInt out;
+  if (__builtin_sub_overflow(a, b, &out)) return std::nullopt;
+  return out;
+}
 
 /// Returns a*b, or nullopt on signed overflow.
-std::optional<CountInt> CheckedMul(CountInt a, CountInt b);
+inline std::optional<CountInt> CheckedMul(CountInt a, CountInt b) {
+  CountInt out;
+  if (__builtin_mul_overflow(a, b, &out)) return std::nullopt;
+  return out;
+}
 
 /// Returns base^exp for exp >= 0, or nullopt on overflow.
 std::optional<CountInt> CheckedPow(CountInt base, int exp);

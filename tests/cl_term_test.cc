@@ -107,18 +107,32 @@ TEST(ClTermAlgebra, PolynomialOps) {
 }
 
 // Ball evaluation of a basic cl-term must equal naive counting of
-// kernel /\ delta_{G,2r+1}.
+// kernel /\ delta_{G,2r+1}. Besides E and R, the structures carry a ternary
+// relation T and a nullary flag Q, which every kernel reads next to its
+// random part, so atoms of every arity are checked.
 TEST(ClTermBallEval, MatchesNaiveOnRandomInputs) {
   Rng rng(404);
   Var y1 = VarNamed("cty1"), y2 = VarNamed("cty2"), y3 = VarNamed("cty3");
   std::vector<Var> vars = {y1, y2, y3};
   for (int round = 0; round < 12; ++round) {
-    Structure a = test::RandomColoredStructure(14, 1.3, 0.4, &rng);
+    Structure colored = test::RandomColoredStructure(14, 1.3, 0.4, &rng);
+    Structure a(Signature({{"E", 2}, {"R", 1}, {"T", 3}, {"Q", 0}}), 14);
+    for (SymbolId id : {0, 1}) {
+      for (TupleRef t : colored.relation(id).tuples()) a.AddTuple(id, t);
+    }
+    for (int i = 0; i < 12; ++i) {
+      a.AddTuple(2, {static_cast<ElemId>(rng.NextBelow(14)),
+                     static_cast<ElemId>(rng.NextBelow(14)),
+                     static_cast<ElemId>(rng.NextBelow(14))});
+    }
+    if (rng.NextBool(0.5)) a.AddTuple(3, {});
     Graph gaifman = BuildGaifmanGraph(a);
     ClTermBallEvaluator ball(a, gaifman);
     NaiveEvaluator naive(a);
     std::uint32_t r = static_cast<std::uint32_t>(rng.NextBelow(2));
-    Formula kernel = test::RandomQuantifierFree(vars, 2, true, r, &rng);
+    Formula kernel =
+        Or(And(Atom("Q", {}), Atom("T", {y1, y3, y2})),
+           test::RandomQuantifierFree(vars, 2, true, r, &rng));
     for (const PatternGraph& p : PatternGraph::AllGraphs(3)) {
       if (!p.IsConnected()) continue;
       BasicClTerm basic{vars, /*unary=*/false, kernel, r, p};

@@ -70,20 +70,21 @@ TEST(ThreadPoolTest, RunsEverySubmittedTask) {
   EXPECT_EQ(pool.num_workers(), 4);
   constexpr int kTasks = 500;
   std::atomic<int> done{0};
-  std::atomic<int> remaining{kTasks};
   std::mutex mutex;
+  int remaining = kTasks;  // guarded by mutex
   std::condition_variable cv;
   for (int i = 0; i < kTasks; ++i) {
     pool.Submit([&] {
       done.fetch_add(1);
-      if (remaining.fetch_sub(1) == 1) {
-        std::lock_guard<std::mutex> lock(mutex);
-        cv.notify_one();
-      }
+      // Count down under the lock: the waiter can then only see zero once
+      // the last task holds the lock, so it cannot return and destroy the
+      // mutex and the condition variable while that task still uses them.
+      std::lock_guard<std::mutex> lock(mutex);
+      if (--remaining == 0) cv.notify_one();
     });
   }
   std::unique_lock<std::mutex> lock(mutex);
-  cv.wait(lock, [&] { return remaining.load() == 0; });
+  cv.wait(lock, [&] { return remaining == 0; });
   EXPECT_EQ(done.load(), kTasks);
 }
 
