@@ -1,11 +1,26 @@
 // Cover-based evaluation of cl-terms (Definitions 7.4/7.5 in spirit, step 5
 // of the Section 8.2 main algorithm): every basic cl-term is evaluated
-// cluster by cluster. For each cluster X the induced substructure A[X] is
-// materialised once; every anchor a with X(a) = X counts its pattern
-// placements inside A[X]. Because the cover radius dominates
-// RequiredCoverRadius(basic), distances up to the separation threshold and
-// the kernel's r-neighbourhoods are identical in A and A[X], so the result
-// matches the ball-based evaluator exactly (differentially tested).
+// cluster by cluster, each anchor a counting its pattern placements in the
+// structure B_X = A[X] of its cluster X = X(a).
+//
+// B_X is a view, not a copy. The basic is planned once per call on A, with
+// global ids: kernel atoms probe A, and every ball the count reads (the
+// separation balls that place the pattern, dist atoms, ball guards) is
+// explored by a BFS confined to the subgraph of A's Gaifman graph induced
+// on X. This is exact:
+//  * The cover radius R = cover.r is at least RequiredCoverRadius(basic) =
+//    k(2r+1), so X contains N_R(a), and every element a placement, a dist
+//    atom or a guard reaches lies within R-1 of a. An atom over elements of
+//    X holds in A[X] iff it holds in A.
+//  * For relations of arity <= 2 the induced subgraph is Gaifman(A[X]). A
+//    wider tuple with members both inside and outside X gives the induced
+//    subgraph edges between its inside members that Gaifman(A[X]) lacks;
+//    but an inside member adjacent to an outside one lies at distance >= R
+//    from a, and no ball the count reads expands a vertex that far out.
+// With a valid cover, confinement never changes an answer. It keeps the
+// engine a check on the covers: a cluster that misses part of N_R(a) can
+// change the counts (tests/cover_test.cc pins that each cluster is
+// evaluated inside B_X).
 //
 // This realises the paper's "evaluate t(x1) in the structures B_X for all
 // X in X" without the rank-preserving type expansions (substitution #3 in
@@ -17,27 +32,27 @@
 
 #include "focq/cover/neighborhood_cover.h"
 #include "focq/locality/cl_term.h"
-#include "focq/structure/incidence.h"
 
 namespace focq {
 
 /// Per-cluster cl-term evaluator.
 ///
 /// Clusters are mutually independent (each anchor is counted in exactly one
-/// cluster), so with num_threads > 1 the per-cluster materialisation and
-/// evaluation fan out across workers; anchors write disjoint output slots
-/// and errors surface in cluster-chunk order, keeping results bit-identical
-/// to the serial evaluation.
+/// cluster), so with num_threads > 1 the clusters fan out across workers
+/// (ClTermBallEvaluator::EvaluateBasicInClusters); anchors write disjoint
+/// output slots and errors surface in cluster-chunk order, keeping results
+/// bit-identical to the serial evaluation.
 class ClTermCoverEvaluator {
  public:
   /// `gaifman` must be the Gaifman graph of `structure`; `cover` a
   /// neighbourhood cover of it. All three must outlive the evaluator.
   /// `num_threads`: per-cluster fan-out (0 = all hardware threads). With
   /// `metrics` installed, per-basic evaluations flush cover_eval.* and
-  /// clterm.* counters (clusters materialised, anchors, balls, placements).
-  /// With `progress` installed, EvaluateBasicAll advances the kClTerm phase
-  /// per cluster and polls the deadline; a hard expiry makes it return
-  /// kDeadlineExceeded.
+  /// clterm.* counters (clusters evaluated, still named
+  /// cover_eval.clusters_materialized, their elements, anchors, balls,
+  /// placements). With `progress` installed, EvaluateBasicAll advances the
+  /// kClTerm phase per cluster and polls the deadline; a hard expiry makes
+  /// it return kDeadlineExceeded.
   ClTermCoverEvaluator(const Structure& structure, const Graph& gaifman,
                        const NeighborhoodCover& cover, int num_threads = 1,
                        MetricsSink* metrics = nullptr,
@@ -56,14 +71,16 @@ class ClTermCoverEvaluator {
 
  private:
   const Structure& structure_;
-  const Graph& gaifman_;
   const NeighborhoodCover& cover_;
-  int num_threads_;
   MetricsSink* metrics_;
-  ProgressSink* progress_;
-  TupleIncidence incidence_;  // makes per-cluster materialisation local
+  // Counts every cluster's anchors in place; it flushes no metrics of its
+  // own (this evaluator flushes the cover_eval.* and clterm.* counters).
+  ClTermBallEvaluator ball_;
   // anchors_of_cluster_[c]: elements assigned to cluster c.
   std::vector<std::vector<ElemId>> anchors_of_cluster_;
+  // The clusters with at least one anchor, and their total size.
+  std::int64_t clusters_evaluated_ = 0;
+  std::int64_t cluster_elements_ = 0;
 };
 
 }  // namespace focq

@@ -96,16 +96,30 @@ BallExplorer::BallExplorer(const Graph& g)
 
 const std::vector<VertexId>& BallExplorer::Explore(VertexId source,
                                                    std::uint32_t r) {
-  std::vector<VertexId> sources = {source};
-  return ExploreMulti(sources, r);
+  return ExploreMulti({&source, 1}, r);
 }
 
 const std::vector<VertexId>& BallExplorer::ExploreMulti(
-    const std::vector<VertexId>& sources, std::uint32_t r) {
+    std::span<const VertexId> sources, std::uint32_t r) {
   ++current_stamp_;
   order_.clear();
+  // The scope test is a template argument, so the unconfined search (cover
+  // builds and repair, the ball engine) runs the loop without it.
+  if (confined_) {
+    Search<true>(sources, r);
+  } else {
+    Search<false>(sources, r);
+  }
+  return order_;
+}
+
+template <bool kConfined>
+void BallExplorer::Search(std::span<const VertexId> sources, std::uint32_t r) {
   for (VertexId s : sources) {
     FOCQ_CHECK_LT(s, g_.num_vertices());
+    if constexpr (kConfined) {
+      FOCQ_CHECK_EQ(scope_stamp_[s], current_scope_);
+    }
     if (stamp_[s] != current_stamp_) {
       stamp_[s] = current_stamp_;
       dist_[s] = 0;
@@ -118,6 +132,9 @@ const std::vector<VertexId>& BallExplorer::ExploreMulti(
     VertexId u = order_[head];
     if (dist_[u] == r) continue;
     for (VertexId v : g_.Neighbors(u)) {
+      if constexpr (kConfined) {
+        if (scope_stamp_[v] != current_scope_) continue;
+      }
       if (stamp_[v] != current_stamp_) {
         stamp_[v] = current_stamp_;
         dist_[v] = dist_[u] + 1;
@@ -125,7 +142,17 @@ const std::vector<VertexId>& BallExplorer::ExploreMulti(
       }
     }
   }
-  return order_;
+}
+
+void BallExplorer::Confine(std::span<const VertexId> scope) {
+  confined_ = !scope.empty();
+  if (!confined_) return;
+  if (scope_stamp_.empty()) scope_stamp_.assign(g_.num_vertices(), 0);
+  ++current_scope_;
+  for (VertexId v : scope) {
+    FOCQ_CHECK_LT(v, g_.num_vertices());
+    scope_stamp_[v] = current_scope_;
+  }
 }
 
 }  // namespace focq

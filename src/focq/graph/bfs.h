@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "focq/graph/graph.h"
@@ -60,19 +61,32 @@ class BallExplorer {
   const std::vector<VertexId>& Explore(VertexId source, std::uint32_t r);
 
   /// Same for multiple sources.
-  const std::vector<VertexId>& ExploreMulti(const std::vector<VertexId>& sources,
+  const std::vector<VertexId>& ExploreMulti(std::span<const VertexId> sources,
                                             std::uint32_t r);
+
+  /// Confines later explorations to the subgraph induced on `scope`: they
+  /// neither visit nor cross a vertex outside it, and every source must lie
+  /// in it. O(|scope|); an empty scope lifts the confinement.
+  void Confine(std::span<const VertexId> scope);
 
   /// Distance (from the last Explore* call's sources) of a vertex that was
   /// reached; must only be called for vertices in the returned ball.
   std::uint32_t DistanceOf(VertexId v) const { return dist_[v]; }
 
  private:
+  template <bool kConfined>
+  void Search(std::span<const VertexId> sources, std::uint32_t r);
+
   const Graph& g_;
   std::vector<std::uint32_t> stamp_;
   std::vector<std::uint32_t> dist_;
   std::vector<VertexId> order_;
   std::uint32_t current_stamp_ = 0;
+  // The scope is the vertices v with scope_stamp_[v] == current_scope_;
+  // sized on the first Confine.
+  std::vector<std::uint32_t> scope_stamp_;
+  std::uint32_t current_scope_ = 0;
+  bool confined_ = false;
 };
 
 }  // namespace focq

@@ -58,8 +58,7 @@ class IsoSearch {
     used_.assign(n, false);
     // BFS order over A from the centre.
     BallExplorer explorer(ga_);
-    order_ = explorer.ExploreMulti({center_a},
-                                   static_cast<std::uint32_t>(n));
+    order_ = explorer.Explore(center_a, static_cast<std::uint32_t>(n));
     if (order_.size() != n) {
       // Spheres are connected by construction; handle disconnected input
       // defensively by appending stragglers.

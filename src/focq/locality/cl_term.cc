@@ -452,50 +452,62 @@ Result<std::vector<CountInt>> ClTermBallEvaluator::EvaluateBasicAt(
 
 template <typename Record>
 Status ClTermBallEvaluator::CountEveryAnchor(const BasicClTerm& basic,
+                                             const Clusters* clusters,
                                              Record record) {
-  const std::size_t n = structure_.universe_size();
+  const std::size_t units = clusters == nullptr ? structure_.universe_size()
+                                                : clusters->scopes.size();
   const BasicPlan plan = PlanBasic(basic, structure_);
   if (progress_ != nullptr) {
-    progress_->AddTotal(ProgressPhase::kClTerm, static_cast<std::int64_t>(n));
+    progress_->AddTotal(ProgressPhase::kClTerm,
+                        static_cast<std::int64_t>(units));
   }
   // Chunks record disjoint anchors or per-chunk partials and surface errors
   // in chunk order, so failure reporting is deterministic too. Each chunk
   // worker shares the plan and the lent tables and owns its oracles and
-  // scratch (one chunk uses this evaluator's). Worker tallies land in
-  // per-chunk shards and reduce after the join, so the flushed totals match
-  // the serial run.
-  const std::size_t num_chunks = MakeChunkGrid(n, num_threads_).num_chunks;
+  // scratch (one chunk uses this evaluator's), so it confines only its own
+  // evaluator. Worker tallies land in per-chunk shards and reduce after the
+  // join, so the flushed totals match the serial run.
+  const std::size_t num_chunks = MakeChunkGrid(units, num_threads_).num_chunks;
   std::vector<Status> chunk_status(num_chunks, Status::Ok());
   ShardedCounter anchors(num_chunks), balls(num_chunks),
       placements(num_chunks);
-  ParallelFor(num_threads_, n,
-              [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-                std::optional<LocalEvaluator> own;
-                Placement placement(
-                    plan, num_chunks == 1
-                              ? &eval_
-                              : &own.emplace(structure_, gaifman_, tables_));
-                for (std::size_t a = begin; a < end; ++a) {
-                  if (progress_ != nullptr && progress_->ShouldStop()) return;
-                  const ElemId anchor = static_cast<ElemId>(a);
-                  Result<CountInt> c = CountAnchored(&placement, anchor);
-                  if (!c.ok()) {
-                    chunk_status[chunk] = c.status();
-                    return;
-                  }
-                  if (!record(chunk, anchor, *c)) {
-                    chunk_status[chunk] =
-                        Status::OutOfRange("cl-term count overflows int64");
-                    return;
-                  }
-                  if (progress_ != nullptr) {
-                    progress_->Advance(ProgressPhase::kClTerm, 1);
-                  }
-                }
-                anchors.Add(chunk, placement.stats.anchors);
-                balls.Add(chunk, placement.stats.balls);
-                placements.Add(chunk, placement.stats.placements);
-              });
+  ParallelFor(num_threads_, units, [&](std::size_t chunk, std::size_t begin,
+                                       std::size_t end) {
+    std::optional<LocalEvaluator> own;
+    LocalEvaluator* eval = num_chunks == 1
+                               ? &eval_
+                               : &own.emplace(structure_, gaifman_, tables_);
+    Placement placement(plan, eval);
+    auto count = [&](ElemId anchor) {
+      Result<CountInt> c = CountAnchored(&placement, anchor);
+      if (!c.ok()) {
+        chunk_status[chunk] = c.status();
+      } else if (!record(chunk, anchor, *c)) {
+        chunk_status[chunk] =
+            Status::OutOfRange("cl-term count overflows int64");
+      }
+      return chunk_status[chunk].ok();
+    };
+    auto count_unit = [&](std::size_t u) {
+      if (clusters == nullptr) return count(static_cast<ElemId>(u));
+      const std::vector<ElemId>& unit_anchors = clusters->anchors_of[u];
+      if (unit_anchors.empty()) return true;
+      eval->Confine(clusters->scopes[u]);
+      for (ElemId anchor : unit_anchors) {
+        if (!count(anchor)) return false;
+      }
+      return true;
+    };
+    for (std::size_t u = begin; u < end; ++u) {
+      if (progress_ != nullptr && progress_->ShouldStop()) break;
+      if (!count_unit(u)) break;
+      if (progress_ != nullptr) progress_->Advance(ProgressPhase::kClTerm, 1);
+    }
+    if (clusters != nullptr) eval->Confine({});
+    anchors.Add(chunk, placement.stats.anchors);
+    balls.Add(chunk, placement.stats.balls);
+    placements.Add(chunk, placement.stats.placements);
+  });
   if (progress_ != nullptr && progress_->cancelled()) {
     return progress_->DeadlineStatus();
   }
@@ -513,17 +525,30 @@ Status ClTermBallEvaluator::CountEveryAnchor(const BasicClTerm& basic,
   return Status::Ok();
 }
 
-Result<std::vector<CountInt>> ClTermBallEvaluator::EvaluateBasicAll(
-    const BasicClTerm& basic) {
+Result<std::vector<CountInt>> ClTermBallEvaluator::ValuesAtEveryElement(
+    const BasicClTerm& basic, const Clusters* clusters) {
   FOCQ_CHECK(basic.unary);
   std::vector<CountInt> out(structure_.universe_size(), 0);
   Status status = CountEveryAnchor(
-      basic, [&out](std::size_t, ElemId anchor, CountInt count) {
+      basic, clusters, [&out](std::size_t, ElemId anchor, CountInt count) {
         out[anchor] = count;
         return true;
       });
   if (!status.ok()) return status;
   return out;
+}
+
+Result<std::vector<CountInt>> ClTermBallEvaluator::EvaluateBasicAll(
+    const BasicClTerm& basic) {
+  return ValuesAtEveryElement(basic, nullptr);
+}
+
+Result<std::vector<CountInt>> ClTermBallEvaluator::EvaluateBasicInClusters(
+    const BasicClTerm& basic, const std::vector<std::vector<ElemId>>& clusters,
+    const std::vector<std::vector<ElemId>>& anchors_of) {
+  FOCQ_CHECK_EQ(clusters.size(), anchors_of.size());
+  const Clusters units{clusters, anchors_of};
+  return ValuesAtEveryElement(basic, &units);
 }
 
 Result<CountInt> ClTermBallEvaluator::EvaluateBasicGround(
@@ -535,7 +560,7 @@ Result<CountInt> ClTermBallEvaluator::EvaluateBasicGround(
   std::vector<CountInt> partial(
       MakeChunkGrid(structure_.universe_size(), num_threads_).num_chunks, 0);
   Status status = CountEveryAnchor(
-      basic, [&partial](std::size_t chunk, ElemId, CountInt count) {
+      basic, nullptr, [&partial](std::size_t chunk, ElemId, CountInt count) {
         auto sum = CheckedAdd(partial[chunk], count);
         if (sum) partial[chunk] = *sum;
         return sum.has_value();

@@ -126,10 +126,11 @@ std::set<std::uint32_t> BallRadii(const ClTerm& term);
 ///
 /// Thread-compatible, not thread-safe (mutable oracle/index caches). With
 /// num_threads > 1 the per-anchor loop of EvaluateBasicAll /
-/// EvaluateBasicGround fans out over chunk workers that share the plan and
-/// the lent ball tables read-only and keep their own oracles and scratch;
-/// partial counts are reduced in chunk order with checked arithmetic, so
-/// the result is bit-identical to the serial evaluation.
+/// EvaluateBasicGround, and the per-cluster loop of EvaluateBasicInClusters,
+/// fan out over chunk workers that share the plan and the lent ball tables
+/// read-only and keep their own oracles and scratch; partial counts are
+/// reduced in chunk order with checked arithmetic, so the result is
+/// bit-identical to the serial evaluation.
 class ClTermBallEvaluator {
  public:
   /// Exploration-work tally (see DESIGN.md, "Observability"): anchors is the
@@ -165,6 +166,17 @@ class ClTermBallEvaluator {
   /// Values of a unary basic cl-term at every element of the universe.
   Result<std::vector<CountInt>> EvaluateBasicAll(const BasicClTerm& basic);
 
+  /// Values of a unary basic cl-term at every element, counted cluster by
+  /// cluster: the anchors anchors_of[c] are counted with every ball they
+  /// read explored inside the subgraph induced on clusters[c] (see
+  /// LocalEvaluator::Confine), while kernel atoms probe the structure
+  /// itself. Each element must be in exactly one anchors_of[c], and no
+  /// tables may be lent. The kClTerm progress unit is a cluster.
+  Result<std::vector<CountInt>> EvaluateBasicInClusters(
+      const BasicClTerm& basic,
+      const std::vector<std::vector<ElemId>>& clusters,
+      const std::vector<std::vector<ElemId>>& anchors_of);
+
   /// Values of `basic` at each of `anchors` (pattern placements anchored at
   /// y1 = anchor; the unary flag is ignored), serially, with one plan for
   /// the whole list.
@@ -182,12 +194,25 @@ class ClTermBallEvaluator {
   Result<std::vector<CountInt>> EvaluateAll(const ClTerm& term);
 
  private:
-  /// The planned placement loop behind EvaluateBasicAll and
-  /// EvaluateBasicGround: plans `basic` once, counts the placements anchored
-  /// at every element on the chunk grid and hands each count to
+  /// The clusters of EvaluateBasicInClusters.
+  struct Clusters {
+    const std::vector<std::vector<ElemId>>& scopes;
+    const std::vector<std::vector<ElemId>>& anchors_of;
+  };
+
+  /// The planned placement loop behind EvaluateBasicAll, EvaluateBasicGround
+  /// and EvaluateBasicInClusters: plans `basic` once, counts the placements
+  /// anchored at every element on the chunk grid and hands each count to
   /// record(chunk, anchor, count), which returns false on int64 overflow.
+  /// The grid's unit is an anchor, or with `clusters` a cluster, whose
+  /// worker confines its evaluator to the cluster for the cluster's anchors.
   template <typename Record>
-  Status CountEveryAnchor(const BasicClTerm& basic, Record record);
+  Status CountEveryAnchor(const BasicClTerm& basic, const Clusters* clusters,
+                          Record record);
+
+  /// The values of EvaluateBasicAll and EvaluateBasicInClusters.
+  Result<std::vector<CountInt>> ValuesAtEveryElement(const BasicClTerm& basic,
+                                                     const Clusters* clusters);
 
   const Structure& structure_;
   const Graph& gaifman_;

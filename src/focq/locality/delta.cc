@@ -50,11 +50,26 @@ ClosenessOracle::ClosenessOracle(const BallTable& table, std::uint32_t r)
 
 const std::vector<ElemId>& ClosenessOracle::Explore(ElemId a) {
   FOCQ_CHECK(gaifman_ != nullptr);
-  if (!explorer_.has_value()) explorer_.emplace(*gaifman_);
-  std::vector<ElemId> ball = explorer_->Explore(a, r_);
+  if (!explorer_.has_value()) {
+    explorer_.emplace(*gaifman_);
+    explorer_->Confine(scope_);
+  }
+  const std::vector<VertexId>& order = explorer_->Explore(a, r_);
+  // A forgotten slot keeps its capacity, so re-exploring it allocates
+  // nothing once it has held a ball this large.
+  std::vector<ElemId>& ball = cache_[a];
+  ball.assign(order.begin(), order.end());
   std::sort(ball.begin(), ball.end());
-  cache_[a] = std::move(ball);
-  return cache_[a];
+  filled_.push_back(a);
+  return ball;
+}
+
+void ClosenessOracle::Confine(std::span<const ElemId> scope) {
+  FOCQ_CHECK(gaifman_ != nullptr);
+  for (ElemId a : filled_) cache_[a].clear();
+  filled_.clear();
+  scope_ = scope;
+  if (explorer_.has_value()) explorer_->Confine(scope);
 }
 
 std::unique_ptr<ClosenessOracle> MakeOracle(const Graph& gaifman,

@@ -10,6 +10,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "focq/graph/bfs.h"
@@ -64,7 +65,8 @@ class ClosenessOracle {
   }
 
   /// The sorted r-ball of `a`. The reference stays valid for the oracle's
-  /// lifetime: later calls never move an already returned ball.
+  /// lifetime, and its contents until the next Confine: later calls never
+  /// move an already returned ball.
   const std::vector<ElemId>& BallOf(ElemId a) {
     FOCQ_CHECK_LT(a, balls_->size());
     const std::vector<ElemId>& ball = (*balls_)[a];
@@ -75,6 +77,12 @@ class ClosenessOracle {
 
   std::uint32_t radius() const { return r_; }
 
+  /// Lazy oracles only. Forgets the balls explored so far (O(explored)) and
+  /// explores later ones inside the subgraph induced on `scope` (see
+  /// BallExplorer::Confine), which must outlive the confinement. An empty
+  /// scope lifts it.
+  void Confine(std::span<const ElemId> scope);
+
  private:
   const std::vector<ElemId>& Explore(ElemId a);
 
@@ -83,6 +91,8 @@ class ClosenessOracle {
   std::optional<BallExplorer> explorer_;  // built on the first lazy miss
   BallTable cache_;                       // the lazy mode's own table
   const BallTable* balls_;                // &cache_ or the borrowed table
+  std::vector<ElemId> filled_;            // the slots of cache_ in use
+  std::span<const ElemId> scope_;         // empty: unconfined
 };
 
 /// A table-backed oracle when `tables` lends radius r, else a lazy one over

@@ -159,8 +159,17 @@ SymbolId LocalEvaluator::ResolveAtom(const Expr& e) {
 
 ClosenessOracle& LocalEvaluator::OracleFor(std::uint32_t d) {
   std::unique_ptr<ClosenessOracle>& slot = oracles_[d];
-  if (slot == nullptr) slot = MakeOracle(gaifman_, tables_, d);
+  if (slot == nullptr) {
+    slot = MakeOracle(gaifman_, tables_, d);
+    if (!scope_.empty()) slot->Confine(scope_);
+  }
   return *slot;
+}
+
+void LocalEvaluator::Confine(std::span<const ElemId> scope) {
+  FOCQ_CHECK(tables_ == nullptr);
+  scope_ = scope;
+  for (auto& [d, oracle] : oracles_) oracle->Confine(scope);
 }
 
 bool LocalEvaluator::DistanceAtMost(ElemId a, ElemId b, std::uint32_t d) {
@@ -348,6 +357,8 @@ bool LocalEvaluator::EvalQuantifier(const Expr& e, Env* env, bool is_exists) {
     return result;
   }
 
+  // Candidates and universe sweeps range over the whole structure.
+  FOCQ_CHECK(scope_.empty());
   std::optional<std::vector<ElemId>> candidates =
       is_exists ? CandidatesFor(body, y, env)
                 : ForallCandidatesFor(body, y, env);
@@ -536,6 +547,7 @@ void LocalEvaluator::CountRec(const Expr& body, const std::vector<Var>& binders,
     descend(ball);
     return;
   }
+  FOCQ_CHECK(scope_.empty());
   std::optional<std::vector<ElemId>> candidates = CandidatesFor(body, y, env);
   if (candidates.has_value()) {
     descend(*candidates);

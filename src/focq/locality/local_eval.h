@@ -22,6 +22,7 @@
 #include <set>
 #include <memory>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -103,6 +104,15 @@ class LocalEvaluator {
   /// evaluator's lifetime.
   ClosenessOracle& OracleFor(std::uint32_t d);
 
+  /// Confines every oracle this evaluator owns or creates later to the
+  /// subgraph induced on `scope` (ClosenessOracle::Confine), so every ball
+  /// guard and dist atom reads a ball of that subgraph. Needs an evaluator
+  /// without lent tables. A confined evaluator must never enumerate outside
+  /// a ball: a quantifier or counting binder without a bound ball guard
+  /// fails a check. `scope` must outlive the confinement; an empty scope
+  /// lifts it.
+  void Confine(std::span<const ElemId> scope);
+
  private:
   friend class GuardProbe;
 
@@ -143,6 +153,7 @@ class LocalEvaluator {
   const Structure& structure_;
   const Graph& gaifman_;
   const BallTables* tables_;
+  std::span<const ElemId> scope_;  // empty: unconfined
   std::unordered_map<std::string, SymbolId> atom_cache_;
   std::unordered_map<std::uint32_t, std::unique_ptr<ClosenessOracle>> oracles_;
   // (symbol, column) -> value -> tuple indices.

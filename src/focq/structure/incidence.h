@@ -1,7 +1,7 @@
 // Per-element tuple incidence: for every universe element, the list of
 // relation tuples containing it. Turns induced-substructure extraction from
 // O(||A||) per call (a full relation scan) into O(local size), which is what
-// makes per-cluster and per-sphere materialisation near-linear overall.
+// makes per-sphere materialisation near-linear overall.
 #ifndef FOCQ_STRUCTURE_INCIDENCE_H_
 #define FOCQ_STRUCTURE_INCIDENCE_H_
 

@@ -6,6 +6,7 @@
 #include "focq/locality/decompose.h"
 #include "focq/structure/encode.h"
 #include "focq/structure/gaifman.h"
+#include "focq/structure/neighborhood.h"
 #include "test_util.h"
 
 namespace focq {
@@ -96,6 +97,50 @@ TEST(CoverEvaluator, AgreesWithBallEvaluator) {
       Result<std::vector<CountInt>> actual = cov.EvaluateAll(d->term);
       ASSERT_TRUE(actual.ok());
       EXPECT_EQ(*actual, *expected) << "sparse=" << sparse;
+    }
+  }
+}
+
+// Each anchor is counted in B_X = A[X] of its cluster X, never in A: with a
+// cover that lies about its radius (1-balls claiming RequiredCoverRadius),
+// every value must equal the ball evaluator's on the induced substructure,
+// so no ball the count reads may leave the cluster. The relations have
+// arity <= 2, so the subgraph of A's Gaifman graph induced on X is
+// Gaifman(A[X]).
+TEST(CoverEvaluator, EvaluatesInsideEachCluster) {
+  Rng rng(1800);
+  Var y1 = VarNamed("ciy1"), y2 = VarNamed("ciy2");
+  for (int round = 0; round < 8; ++round) {
+    Structure a = test::RandomColoredStructure(30, 1.2, 0.4, &rng);
+    Graph gaifman = BuildGaifmanGraph(a);
+    std::vector<Formula> parts = {
+        test::RandomGuardedKernel({y1}, 2, true, 1, &rng, 1),
+        test::RandomQuantifierFree({y1, y2}, 1, true, 1, &rng)};
+    Result<Decomposition> d = DecomposeCount({y1, y2}, true, And(parts));
+    ASSERT_TRUE(d.ok()) << d.status().ToString();
+    NeighborhoodCover cover = ExactBallCover(gaifman, 1);
+    for (BasicClTerm b : d->term.basics()) {
+      b.unary = true;
+      std::vector<CountInt> expected(a.universe_size());
+      for (ElemId x = 0; x < a.universe_size(); ++x) {
+        SubstructureView view =
+            InducedView(a, cover.clusters[cover.assignment[x]]);
+        Graph view_gaifman = BuildGaifmanGraph(view.structure);
+        const ElemId local = view.ToLocal(x);
+        Result<std::vector<CountInt>> v =
+            ClTermBallEvaluator(view.structure, view_gaifman)
+                .EvaluateBasicAt(b, {&local, 1});
+        ASSERT_TRUE(v.ok());
+        expected[x] = (*v)[0];
+      }
+      cover.r = RequiredCoverRadius(b);
+      for (int threads : {1, 4}) {
+        ClTermCoverEvaluator cov(a, gaifman, cover, threads);
+        Result<std::vector<CountInt>> actual = cov.EvaluateBasicAll(b);
+        ASSERT_TRUE(actual.ok());
+        EXPECT_EQ(*actual, expected)
+            << "round " << round << ", threads " << threads;
+      }
     }
   }
 }

@@ -94,8 +94,16 @@ TEST(Bfs, BallExplorerReusable) {
   EXPECT_EQ(explorer.Explore(12, 1).size(), 5u);  // centre + 4 neighbours
   EXPECT_EQ(explorer.Explore(0, 1).size(), 3u);   // corner
   EXPECT_EQ(explorer.Explore(12, 0).size(), 1u);
-  const auto& ball = explorer.ExploreMulti({0, 24}, 1);
-  EXPECT_EQ(ball.size(), 6u);
+  const std::vector<VertexId> corners = {0, 24};
+  EXPECT_EQ(explorer.ExploreMulti(corners, 1).size(), 6u);
+  // Confined to the middle row, a ball reaches along the row only, and
+  // never through a vertex outside it.
+  const std::vector<VertexId> row = {10, 11, 12, 13, 14};
+  explorer.Confine(row);
+  EXPECT_EQ(explorer.Explore(12, 1).size(), 3u);
+  EXPECT_EQ(explorer.Explore(10, 9).size(), 5u);
+  explorer.Confine({});
+  EXPECT_EQ(explorer.Explore(12, 1).size(), 5u);
 }
 
 TEST(Bfs, ConnectedComponents) {

@@ -177,7 +177,9 @@ std::string EvalSerial(Session* session, const Statement& statement) {
 
 // The tentpole contract: N concurrent clients with a mixed workload
 // (including updates and statements that fail), any interleaving, for
-// thread counts {0, 1, 4} — every response must equal the serial replay.
+// thread counts {0, 1, 4} and both the ball and the sparse-cover engine —
+// every response must equal the serial replay. With the cover engine,
+// concurrent reads share the sparse covers that the updates repair.
 TEST(ServeServerTest, ConcurrentMixedWorkloadIsBitIdenticalToSerialReplay) {
   const std::vector<std::vector<Statement>> workloads = {
       {
@@ -208,50 +210,58 @@ TEST(ServeServerTest, ConcurrentMixedWorkloadIsBitIdenticalToSerialReplay) {
       },
   };
 
-  for (int threads : {0, 1, 4}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    Structure served = MakePathStructure(10);
-    ServeOptions options;
-    options.eval.num_threads = threads;
-    Server server(&served, options);
-    ASSERT_TRUE(server.Start().ok());
+  for (TermEngine engine : {TermEngine::kBall, TermEngine::kSparseCover}) {
+    for (int threads : {0, 1, 4}) {
+      SCOPED_TRACE("cover engine=" +
+                   std::to_string(engine == TermEngine::kSparseCover) +
+                   " threads=" + std::to_string(threads));
+      Structure served = MakePathStructure(10);
+      ServeOptions options;
+      options.eval.term_engine = engine;
+      options.eval.num_threads = threads;
+      Server server(&served, options);
+      ASSERT_TRUE(server.Start().ok());
 
-    std::vector<std::vector<Observed>> results(workloads.size());
-    std::vector<std::thread> clients;
-    for (std::size_t i = 0; i < workloads.size(); ++i) {
-      clients.emplace_back([&, i] {
-        results[i] = RunClient(server.port(), workloads[i]);
-      });
-    }
-    for (std::thread& t : clients) t.join();
-    server.Stop();
+      std::vector<std::vector<Observed>> results(workloads.size());
+      std::vector<std::thread> clients;
+      for (std::size_t i = 0; i < workloads.size(); ++i) {
+        clients.emplace_back([&, i] {
+          results[i] = RunClient(server.port(), workloads[i]);
+        });
+      }
+      for (std::thread& t : clients) t.join();
+      server.Stop();
 
-    std::vector<Observed> all;
-    for (const auto& result : results) {
-      all.insert(all.end(), result.begin(), result.end());
-    }
-    std::size_t total = 0;
-    for (const auto& w : workloads) total += w.size();
-    ASSERT_EQ(all.size(), total);
+      std::vector<Observed> all;
+      for (const auto& result : results) {
+        all.insert(all.end(), result.begin(), result.end());
+      }
+      std::size_t total = 0;
+      for (const auto& w : workloads) total += w.size();
+      ASSERT_EQ(all.size(), total);
 
-    // Admission order is total and strictly increasing.
-    std::sort(all.begin(), all.end(),
-              [](const Observed& a, const Observed& b) { return a.seq < b.seq; });
-    for (std::size_t i = 1; i < all.size(); ++i) {
-      ASSERT_NE(all[i].seq, all[i - 1].seq);
-    }
+      // Admission order is total and strictly increasing.
+      std::sort(all.begin(), all.end(),
+                [](const Observed& a, const Observed& b) {
+                  return a.seq < b.seq;
+                });
+      for (std::size_t i = 1; i < all.size(); ++i) {
+        ASSERT_NE(all[i].seq, all[i - 1].seq);
+      }
 
-    // Replaying in seq order through one Session reproduces every response
-    // text bit for bit — errors included.
-    Structure replayed = MakePathStructure(10);
-    EvalOptions replay_options;
-    replay_options.num_threads = threads;
-    Session session(&replayed, replay_options);
-    for (const Observed& o : all) {
-      const std::string expected = EvalSerial(&session, o.statement);
-      EXPECT_EQ(o.text, expected)
-          << "seq " << o.seq << " " << FrameKindName(o.statement.kind) << " '"
-          << o.statement.text << "'";
+      // Replaying in seq order through one Session reproduces every response
+      // text bit for bit — errors included.
+      Structure replayed = MakePathStructure(10);
+      EvalOptions replay_options;
+      replay_options.term_engine = engine;
+      replay_options.num_threads = threads;
+      Session session(&replayed, replay_options);
+      for (const Observed& o : all) {
+        const std::string expected = EvalSerial(&session, o.statement);
+        EXPECT_EQ(o.text, expected)
+            << "seq " << o.seq << " " << FrameKindName(o.statement.kind)
+            << " '" << o.statement.text << "'";
+      }
     }
   }
 }
