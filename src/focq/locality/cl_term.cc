@@ -127,9 +127,10 @@ ClTerm ClTerm::Mul(const ClTerm& a, const ClTerm& b) {
 namespace {
 
 /// One basic, planned for one evaluation call on one structure: the
-/// placement order and the compiled kernel. Read-only once built, so chunk
-/// workers share it. Relation pointers point into the structure's relation
-/// vector, which AddUnarySymbol grows: a plan never outlives its call.
+/// placement order, the ball each position draws its candidates from, and
+/// the compiled kernel. Read-only once built, so chunk workers share it.
+/// Relation pointers point into the structure's relation vector, which
+/// AddUnarySymbol grows: a plan never outlives its call.
 struct BasicPlan {
   /// The kernel program's operations. Slots are pattern positions.
   enum class Code : std::uint8_t {
@@ -154,10 +155,15 @@ struct BasicPlan {
 
   const BasicClTerm* basic = nullptr;
   // Pattern positions in BFS order from y1: each later position draws its
-  // candidates from the separation ball of an already placed pattern
-  // neighbour, its parent.
+  // candidates from a ball of an already placed pattern neighbour, its
+  // parent.
   std::vector<int> order;
   std::vector<int> parent;
+  // By position: the radius, as an index into radii, of the parent's ball
+  // its candidates come from (the separation unless a kernel dist narrows
+  // it).
+  std::vector<std::uint32_t> source;
+  std::uint32_t separation = 0;  // index into radii; width >= 2 only
   // The kernel, ops in prefix order, and what its leaves resolved to.
   std::vector<Op> ops;
   std::vector<const Relation*> relations;
@@ -167,6 +173,14 @@ struct BasicPlan {
   std::vector<std::uint32_t> radii;
   std::vector<Formula> calls;
 };
+
+/// The index of `value` in *values, appended if absent.
+template <typename T>
+std::uint32_t IndexOf(std::vector<T>* values, T value) {
+  auto it = std::find(values->begin(), values->end(), value);
+  if (it == values->end()) it = values->insert(it, value);
+  return static_cast<std::uint32_t>(it - values->begin());
+}
 
 /// Compiles a kernel into plan->ops, resolving every leaf once: a symbol
 /// must exist with the atom's arity and every variable must be a pattern
@@ -246,13 +260,6 @@ class KernelCompiler {
     return static_cast<std::uint32_t>(it - vars.begin());
   }
 
-  template <typename T>
-  static std::uint32_t IndexOf(std::vector<T>* values, T value) {
-    auto it = std::find(values->begin(), values->end(), value);
-    if (it == values->end()) it = values->insert(it, value);
-    return static_cast<std::uint32_t>(it - values->begin());
-  }
-
   std::uint32_t MemberIndex(SymbolId id, const Relation& relation) {
     const std::uint32_t index = IndexOf(&plan_.member_symbols, id);
     if (index == plan_.members.size()) {
@@ -290,6 +297,51 @@ BasicPlan PlanBasic(const BasicClTerm& basic, const Structure& structure) {
   }
   FOCQ_CHECK_EQ(plan.order.size(), static_cast<std::size_t>(k));
   KernelCompiler(structure, &plan).Emit(basic.kernel.ref());
+
+  // The kernel's top-level conjuncts, nested conjunctions flattened.
+  using Code = BasicPlan::Code;
+  std::vector<std::uint32_t> conjuncts;
+  auto split = [&](auto&& self, std::uint32_t pc) -> void {
+    if (plan.ops[pc].code != Code::kAnd) {
+      conjuncts.push_back(pc);
+      return;
+    }
+    for (std::uint32_t c = pc + 1; c < plan.ops[pc].end; c = plan.ops[c].end) {
+      self(self, c);
+    }
+  };
+  split(split, 0);
+
+  // A conjunct dist(parent, pos) <= d with d below the separation narrows
+  // pos's candidates to the parent's d-ball, the smallest d winning; every
+  // conjunct dist(parent, pos) then holds by construction and becomes the
+  // constant true.
+  const std::uint32_t separation = basic.Separation();
+  if (k > 1) plan.separation = IndexOf(&plan.radii, separation);
+  plan.source.assign(k, plan.separation);
+  // The position a dist op joins to its parent, or -1.
+  auto child = [&plan](const BasicPlan::Op& op) -> int {
+    if (op.code != Code::kDist) return -1;
+    const int a = static_cast<int>(op.a), b = static_cast<int>(op.b);
+    return plan.parent[a] == b ? a : plan.parent[b] == a ? b : -1;
+  };
+  for (std::uint32_t pc : conjuncts) {
+    const BasicPlan::Op& op = plan.ops[pc];
+    const int pos = child(op);
+    if (pos < 0 || plan.radii[op.index] >= separation) continue;
+    std::uint32_t& source = plan.source[pos];
+    if (source == plan.separation ||
+        plan.radii[op.index] < plan.radii[source]) {
+      source = op.index;
+    }
+  }
+  for (std::uint32_t pc : conjuncts) {
+    const int pos = child(plan.ops[pc]);
+    if (pos >= 0 && plan.source[pos] != plan.separation) {
+      plan.ops[pc].code = Code::kConst;
+      plan.ops[pc].value = true;
+    }
+  }
   return plan;
 }
 
@@ -299,9 +351,6 @@ BasicPlan PlanBasic(const BasicClTerm& basic, const Structure& structure) {
 /// The enumeration itself allocates nothing once the balls it reads exist.
 struct Placement {
   Placement(const BasicPlan& p, LocalEvaluator* e) : plan(p), eval(e) {
-    if (plan.basic->width() > 1) {
-      separation = &eval->OracleFor(plan.basic->Separation());
-    }
     for (std::uint32_t d : plan.radii) oracles.push_back(&eval->OracleFor(d));
     elems.assign(plan.basic->width(), 0);
     tuple.assign(plan.slots.size(), 0);
@@ -309,7 +358,6 @@ struct Placement {
 
   const BasicPlan& plan;
   LocalEvaluator* eval;
-  ClosenessOracle* separation = nullptr;  // none for width 1
   std::vector<ClosenessOracle*> oracles;  // by plan.radii
   std::vector<ElemId> elems;              // by pattern position
   std::vector<ElemId> tuple;              // by plan.slots
@@ -385,16 +433,18 @@ void Place(Placement* p, int depth, CountInt* count, bool* overflow) {
   }
   const int pos = plan.order[depth];
   const int parent = plan.parent[pos];
+  ClosenessOracle* separation = p->oracles[plan.separation];
   ++p->stats.balls;
-  // Candidates: the separation ball of the parent, which is close to each
-  // of them by construction; every other placed position must be close to
-  // the candidate exactly when the pattern joins it to `pos`.
-  for (ElemId c : p->separation->BallOf(p->elems[parent])) {
+  // Candidates: a ball of the parent no wider than the separation ball, so
+  // the parent is close to each of them by construction; every other placed
+  // position must be close to the candidate exactly when the pattern joins
+  // it to `pos`.
+  for (ElemId c : p->oracles[plan.source[pos]]->BallOf(p->elems[parent])) {
     bool ok = true;
     for (int j = 0; j < depth && ok; ++j) {
       const int i = plan.order[j];
       if (i == parent) continue;
-      ok = p->separation->Close(p->elems[i], c) == pattern.HasEdge(i, pos);
+      ok = separation->Close(p->elems[i], c) == pattern.HasEdge(i, pos);
     }
     if (!ok) continue;
     p->elems[pos] = c;

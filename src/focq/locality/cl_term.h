@@ -14,7 +14,9 @@
 // inside the ball of radius R = r + (k-1)(2r+1) around its first element, so
 // a unary basic cl-term is evaluated anchor-by-anchor by enumerating pattern
 // placements inside (2r+1)-balls, and a ground one by summing the unary
-// values over all anchors.
+// values over all anchors. A top-level conjunct dist(y_parent, y_i) <= d of
+// psi with d < 2r+1 narrows that enumeration: y_i is drawn from its BFS
+// parent's d-ball instead of its (2r+1)-ball.
 #ifndef FOCQ_LOCALITY_CL_TERM_H_
 #define FOCQ_LOCALITY_CL_TERM_H_
 
@@ -109,7 +111,9 @@ std::uint32_t RequiredCoverRadius(const BasicClTerm& basic);
 /// Radii at which ClTermBallEvaluator reads balls for `term`: the
 /// separation 2r+1 of every basic of width at least 2, and every dist bound
 /// in the kernels, ball guards included. Locality keeps each kernel bound
-/// below its basic's separation.
+/// below its basic's separation. A kernel bound is read by the dist checks
+/// and, when it narrows a pattern position, as that position's candidate
+/// balls.
 std::set<std::uint32_t> BallRadii(const ClTerm& term);
 
 /// Evaluates cl-terms on one structure by local exploration.
@@ -124,6 +128,25 @@ std::set<std::uint32_t> BallRadii(const ClTerm& term);
 /// to a LocalEvaluator. A plan points into the structure's relations, so it
 /// lives for one call and is never cached.
 ///
+/// The plan splits the kernel into its top-level conjuncts (nested
+/// conjunctions flattened; a negation or disjunction stays whole). Each
+/// later position draws its candidates from a ball of its BFS parent: the
+/// separation ball, or, when a top-level conjunct dist(parent, pos) <= d
+/// has d < 2r+1, the parent's d-ball for the smallest such d. Every
+/// top-level dist(parent, pos) then holds by construction and is compiled
+/// to the constant true; the separation test against the parent holds too,
+/// since d < 2r+1, and the tests against the other placed positions are
+/// unchanged.
+///
+/// Narrowing is exact because a candidate c is in the d-oracle's
+/// BallOf(parent) exactly when that oracle's Close(parent, c) holds, and
+/// closeness is symmetric, so the conjunct written either way round,
+/// dist(pos, parent) included, reads the same relation. That holds for
+/// lent tables and lazy oracles alike, and for lazy oracles confined to a
+/// cluster too: the confined search walks the undirected subgraph induced
+/// on the cluster, and every oracle of one evaluator is confined to the
+/// same cluster.
+///
 /// Thread-compatible, not thread-safe (mutable oracle/index caches). With
 /// num_threads > 1 the per-anchor loop of EvaluateBasicAll /
 /// EvaluateBasicGround, and the per-cluster loop of EvaluateBasicInClusters,
@@ -134,10 +157,12 @@ std::set<std::uint32_t> BallRadii(const ClTerm& term);
 class ClTermBallEvaluator {
  public:
   /// Exploration-work tally (see DESIGN.md, "Observability"): anchors is the
-  /// number of anchored counts, balls the separation-ball fetches feeding
-  /// the placement search, placements the full pattern placements whose
-  /// kernel was checked. All three are input-determined, hence identical
-  /// for every thread count.
+  /// number of anchored counts, balls the ball fetches feeding the placement
+  /// search (one per partial placement, for the next position's
+  /// candidates), placements the full pattern placements whose kernel was
+  /// checked: those drawn from the possibly narrowed balls that passed the
+  /// separation tests. All three are input-determined, hence identical for
+  /// every thread count.
   struct ExploreStats {
     std::int64_t anchors = 0;
     std::int64_t balls = 0;

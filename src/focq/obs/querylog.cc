@@ -310,18 +310,24 @@ Result<std::unique_ptr<QueryLogWriter>> QueryLogWriter::Open(Options options) {
 QueryLogWriter::~QueryLogWriter() { Close(); }
 
 void QueryLogWriter::Append(QueryLogRecord record) {
-  if (options_.slow_ms > 0 &&
+  // A replay that misses an update diverges from it on, so updates pass
+  // both the threshold and the queue cap.
+  const bool update = record.kind == "update";
+  if (!update && options_.slow_ms > 0 &&
       record.total_ns < options_.slow_ms * 1'000'000) {
     filtered_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (closing_ || queue_.size() >= options_.queue_capacity) {
+    if (closing_ || (!update && queue_.size() >= options_.queue_capacity)) {
       dropped_.fetch_add(1, std::memory_order_relaxed);
       return;
     }
     queue_.push_back(std::move(record));
+    if (queue_.size() > peak_queue_.load(std::memory_order_relaxed)) {
+      peak_queue_.store(queue_.size(), std::memory_order_relaxed);
+    }
   }
   not_empty_.notify_one();
 }

@@ -14,10 +14,16 @@
 //
 // Writer contract: Append() is wait-free from the caller's perspective — it
 // takes one uncontended mutex, moves the record into a bounded queue and
-// returns. A full queue *drops* the record (counted, surfaced through the
-// serve metrics) instead of blocking the dispatcher; losing a log line
-// under overload is acceptable, stalling admission is not. A background
-// thread drains the queue to the file in batches.
+// returns. A full queue *drops* a read record (counted, surfaced through
+// the serve metrics) instead of blocking the dispatcher; losing a read's
+// log line under overload is acceptable, stalling admission is not. Update
+// records are never filtered or dropped (only a closed writer refuses
+// one): replay re-applies every update, and one lost update would make
+// every later read diverge. They come one per write statement, so the
+// queue grows past its cap only while updates arrive faster than the
+// writer drains them, and without bound while the writer is stuck in file
+// I/O; peak_queue() (serve.querylog.peak_queue) shows how deep it got. A
+// background thread drains the queue to the file in batches.
 #ifndef FOCQ_OBS_QUERYLOG_H_
 #define FOCQ_OBS_QUERYLOG_H_
 
@@ -106,16 +112,18 @@ struct QueryLogRecord {
 Result<QueryLogRecord> ParseQueryLogLine(std::string_view line);
 
 /// Asynchronous JSONL writer with a bounded queue and an optional slow-ms
-/// threshold filter.
+/// threshold filter, both of which apply to reads only: records of kind
+/// "update" are always written.
 class QueryLogWriter {
  public:
   struct Options {
     std::string path;
-    /// Log only requests whose total_ns exceeds this many milliseconds
-    /// (0: log everything). Filtered records are counted, not dropped —
-    /// the two are different signals (policy vs overload).
+    /// Log only reads whose total_ns reaches this many milliseconds, and
+    /// every update (0: log everything). Filtered records are counted, not
+    /// dropped — the two are different signals (policy vs overload).
     std::int64_t slow_ms = 0;
-    /// Bounded queue capacity; a full queue drops instead of blocking.
+    /// Bounded queue capacity for reads; a full queue drops a read instead
+    /// of blocking, and never an update.
     std::size_t queue_capacity = 4096;
   };
 
@@ -126,8 +134,9 @@ class QueryLogWriter {
   QueryLogWriter(const QueryLogWriter&) = delete;
   QueryLogWriter& operator=(const QueryLogWriter&) = delete;
 
-  /// Enqueues one record; never blocks on I/O. Below-threshold records are
-  /// filtered, queue-full records dropped — both counted.
+  /// Enqueues one record; never blocks on I/O. Below-threshold reads are
+  /// filtered, queue-full reads dropped — both counted. An update is
+  /// always enqueued unless the writer is closed.
   void Append(QueryLogRecord record);
 
   /// Drains the queue, flushes the file and joins the writer thread.
@@ -137,6 +146,9 @@ class QueryLogWriter {
   std::uint64_t written() const { return written_.load(); }
   std::uint64_t dropped() const { return dropped_.load(); }
   std::uint64_t filtered() const { return filtered_.load(); }
+  /// The deepest the queue has been. Reads stop at queue_capacity; a peak
+  /// past it is updates outrunning the writer thread.
+  std::uint64_t peak_queue() const { return peak_queue_.load(); }
 
  private:
   explicit QueryLogWriter(Options options) : options_(std::move(options)) {}
@@ -152,6 +164,7 @@ class QueryLogWriter {
   std::atomic<std::uint64_t> written_{0};
   std::atomic<std::uint64_t> dropped_{0};
   std::atomic<std::uint64_t> filtered_{0};
+  std::atomic<std::uint64_t> peak_queue_{0};  // stored under mutex_
 };
 
 }  // namespace focq

@@ -171,6 +171,8 @@ void Server::Stop() {
                         static_cast<std::int64_t>(query_log_->dropped()));
     metrics_.MaxCounter("serve.querylog.filtered",
                         static_cast<std::int64_t>(query_log_->filtered()));
+    metrics_.MaxCounter("serve.querylog.peak_queue",
+                        static_cast<std::int64_t>(query_log_->peak_queue()));
   }
 
   if (metrics_fd_ >= 0) {
@@ -555,6 +557,8 @@ void Server::MetricsLoop() {
                           static_cast<std::int64_t>(query_log_->dropped()));
       metrics_.MaxCounter("serve.querylog.filtered",
                           static_cast<std::int64_t>(query_log_->filtered()));
+      metrics_.MaxCounter("serve.querylog.peak_queue",
+                          static_cast<std::int64_t>(query_log_->peak_queue()));
     }
     std::map<std::string, std::int64_t> gauges;
     gauges["serve.queue_depth"] = static_cast<std::int64_t>(queue_.size());

@@ -110,6 +110,8 @@ TEST(CoverEvaluator, AgreesWithBallEvaluator) {
 TEST(CoverEvaluator, EvaluatesInsideEachCluster) {
   Rng rng(1800);
   Var y1 = VarNamed("ciy1"), y2 = VarNamed("ciy2");
+  PatternGraph edge(2, 0);
+  edge.SetEdge(0, 1);
   for (int round = 0; round < 8; ++round) {
     Structure a = test::RandomColoredStructure(30, 1.2, 0.4, &rng);
     Graph gaifman = BuildGaifmanGraph(a);
@@ -119,7 +121,13 @@ TEST(CoverEvaluator, EvaluatesInsideEachCluster) {
     Result<Decomposition> d = DecomposeCount({y1, y2}, true, And(parts));
     ASSERT_TRUE(d.ok()) << d.status().ToString();
     NeighborhoodCover cover = ExactBallCover(gaifman, 1);
-    for (BasicClTerm b : d->term.basics()) {
+    // A kernel dist below the separation: y2's candidates come from y1's
+    // 2-ball, explored inside the cluster like every other ball.
+    std::vector<BasicClTerm> basics = d->term.basics();
+    basics.push_back({{y1, y2}, /*unary=*/true,
+                      And(DistAtMost(y1, y2, 2), Atom("R", {y2})),
+                      /*radius=*/1, edge});
+    for (BasicClTerm b : basics) {
       b.unary = true;
       std::vector<CountInt> expected(a.universe_size());
       for (ElemId x = 0; x < a.universe_size(); ++x) {

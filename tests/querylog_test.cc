@@ -191,6 +191,41 @@ TEST_F(QueryLogWriterTest, SlowMsThresholdFiltersFastRequests) {
   EXPECT_EQ(parsed->seq, 2u);
 }
 
+// Replay needs every update, so updates pass both the slow-ms threshold and
+// the queue cap, while fast reads are still filtered.
+TEST_F(QueryLogWriterTest, UpdatesAreNeverFilteredOrDropped) {
+  QueryLogWriter::Options options;
+  options.path = path_;
+  options.slow_ms = 10;
+  options.queue_capacity = 1;
+  Result<std::unique_ptr<QueryLogWriter>> writer =
+      QueryLogWriter::Open(std::move(options));
+  ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+  for (std::uint64_t i = 1; i <= 40; ++i) {
+    QueryLogRecord r = MakeRecord();
+    r.seq = i;
+    r.kind = i % 4 == 0 ? "count" : "update";
+    r.total_ns = 1'000;  // far below the threshold
+    (*writer)->Append(std::move(r));
+  }
+  (*writer)->Close();
+  EXPECT_EQ((*writer)->written(), 30u);
+  EXPECT_EQ((*writer)->filtered(), 10u);
+  EXPECT_EQ((*writer)->dropped(), 0u);
+  EXPECT_GE((*writer)->peak_queue(), 1u);
+  EXPECT_LE((*writer)->peak_queue(), 30u);
+  std::vector<std::string> lines = ReadLines();
+  ASSERT_EQ(lines.size(), 30u);
+  std::uint64_t previous = 0;
+  for (const std::string& line : lines) {
+    Result<QueryLogRecord> parsed = ParseQueryLogLine(line);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    EXPECT_EQ(parsed->kind, "update");
+    EXPECT_GT(parsed->seq, previous);
+    previous = parsed->seq;
+  }
+}
+
 TEST_F(QueryLogWriterTest, AppendAfterCloseDropsInsteadOfBlocking) {
   QueryLogWriter::Options options;
   options.path = path_;

@@ -686,6 +686,49 @@ TEST_F(ServeQueryLogTest, SlowMsLogsOnlySlowRequestsToTheFile) {
   EXPECT_EQ(counters.at("serve.querylog.written"), 0);
 }
 
+TEST_F(ServeQueryLogTest, SlowMsKeepsUpdatesAndReplays) {
+  // The threshold filters both reads, never the update between them, so
+  // the log still replays.
+  const std::string log_path = (dir_ / "query.log").string();
+  Structure served = MakePathStructure(6);
+  ServeOptions options;
+  options.query_log_path = log_path;
+  options.slow_ms = 60'000;
+  Server server(&served, options);
+  ASSERT_TRUE(server.Start().ok());
+  std::vector<Observed> observed =
+      RunClient(server.port(), {{FrameKind::kCount, "E(x, y)"},
+                                {FrameKind::kUpdate, "insert E 0 3"},
+                                {FrameKind::kCount, "E(x, y)"}});
+  ASSERT_EQ(observed.size(), 3u);
+  server.Stop();
+
+  std::vector<QueryLogRecord> records;
+  {
+    std::ifstream in(log_path);
+    std::string line;
+    while (std::getline(in, line)) {
+      Result<QueryLogRecord> parsed = ParseQueryLogLine(line);
+      ASSERT_TRUE(parsed.ok()) << parsed.status().ToString() << "\n" << line;
+      records.push_back(*std::move(parsed));
+    }
+  }
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].kind, "update");
+  EXPECT_EQ(records[0].text, "insert E 0 3");
+  const auto counters = server.metrics().Snapshot().counters;
+  EXPECT_EQ(counters.at("serve.querylog.filtered"), 2);
+  EXPECT_EQ(counters.at("serve.querylog.dropped"), 0);
+  EXPECT_EQ(counters.at("serve.querylog.peak_queue"), 1);
+
+  const std::string structure_path = (dir_ / "structure.focq").string();
+  std::ofstream(structure_path) << WriteStructure(MakePathStructure(6));
+  const RunResult replay = RunLogreplay(structure_path + " " + log_path);
+  EXPECT_EQ(replay.exit_code, 0) << replay.output;
+  EXPECT_NE(replay.output.find("0 mismatches"), std::string::npos)
+      << replay.output;
+}
+
 TEST(ServeServerTest, TraceSinkCollectsLifecycleLaneSpans) {
   Structure served = MakePathStructure(8);
   TraceSink trace;

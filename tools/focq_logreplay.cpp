@@ -29,10 +29,10 @@
 // Caveats, by construction of the log:
 //   * records with deadline=true are skipped (a deadline expiry depends on
 //     wall clock, so the error text is not reproducible);
-//   * a --slow-ms log is a *subset* of the served stream: updates that were
-//     filtered out change structure state for later reads, so replay of a
-//     filtered log verifies only when no update was filtered (the tool
-//     still replays and reports whatever mismatches follow);
+//   * a --slow-ms log is a *subset* of the served reads, but the server
+//     logs every update whatever its latency or the queue's fill, so the
+//     structure state each logged read saw is reproduced and a filtered log
+//     verifies like a full one;
 //   * seq gaps are normal — pings and shutdown frames consume sequence
 //     numbers but are never logged.
 //

@@ -31,7 +31,8 @@
 //   --query-log    structured query log: one JSONL record per served
 //                  statement (schema: src/focq/obs/querylog.h), written
 //                  asynchronously, replayable with tools/focq_logreplay
-//   --slow-ms      with --query-log: record only requests slower than N ms
+//   --slow-ms      with --query-log: record only reads slower than N ms;
+//                  every update is still recorded, so the log replays
 //   --trace-json   request-lifecycle trace, chrome://tracing JSON written at
 //                  shutdown: decode/queue/gate/exec/write spans per request
 //                  on reader / dispatcher / pool-worker lanes, stitched by
