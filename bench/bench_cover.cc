@@ -60,7 +60,7 @@ void BM_SparseCover(benchmark::State& state) {
   MetricsSink metrics;
   NeighborhoodCover cover;
   for (auto _ : state) {
-    cover = SparseCover(g, r, /*num_threads=*/1, &metrics);
+    cover = SparseCover(g, r, {.metrics = &metrics});
     benchmark::DoNotOptimize(cover.clusters.data());
   }
   state.SetLabel(FamilyName(family));
@@ -76,7 +76,7 @@ void BM_ExactBallCover(benchmark::State& state) {
   MetricsSink metrics;
   NeighborhoodCover cover;
   for (auto _ : state) {
-    cover = ExactBallCover(g, r, /*num_threads=*/1, &metrics);
+    cover = ExactBallCover(g, r, {.metrics = &metrics});
     benchmark::DoNotOptimize(cover.clusters.data());
   }
   state.SetLabel(FamilyName(family));
@@ -115,7 +115,7 @@ void BM_SparseCoverThreads(benchmark::State& state) {
   MetricsSink metrics;
   NeighborhoodCover cover;
   for (auto _ : state) {
-    cover = SparseCover(g, r, threads, &metrics);
+    cover = SparseCover(g, r, {.num_threads = threads, .metrics = &metrics});
     benchmark::DoNotOptimize(cover.clusters.data());
   }
   state.SetLabel(FamilyName(family));

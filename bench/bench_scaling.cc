@@ -71,7 +71,7 @@ void BM_CountSolutionsLocal(benchmark::State& state) {
   Structure a = MakeFamily(family, n, &rng);
   Formula phi = ScalingCondition();
   MetricsSink metrics;
-  EvalOptions options{Engine::kLocal, TermEngine::kBall};
+  EvalOptions options;
   options.metrics = &metrics;
   CountInt result = 0;
   for (auto _ : state) {
@@ -101,7 +101,8 @@ void BM_CountSolutionsCover(benchmark::State& state) {
   Structure a = MakeFamily(family, n, &rng);
   Formula phi = ScalingCondition();
   MetricsSink metrics;
-  EvalOptions options{Engine::kLocal, TermEngine::kSparseCover};
+  EvalOptions options;
+  options.term_engine = TermEngine::kSparseCover;
   options.metrics = &metrics;
   CountInt result = 0;
   for (auto _ : state) {
@@ -128,7 +129,8 @@ void BM_CountSolutionsNaive(benchmark::State& state) {
   Structure a = MakeFamily(family, n, &rng);
   Formula phi = ScalingCondition();
   MetricsSink metrics;
-  EvalOptions options{Engine::kNaive, TermEngine::kBall};
+  EvalOptions options;
+  options.engine = Engine::kNaive;
   options.metrics = &metrics;
   CountInt result = 0;
   for (auto _ : state) {
@@ -169,7 +171,8 @@ void BM_CountSolutionsLocalThreads(benchmark::State& state) {
   Structure a = MakeFamily(family, n, &rng);
   Formula phi = ScalingCondition();
   MetricsSink metrics;
-  EvalOptions options{Engine::kLocal, TermEngine::kBall, threads};
+  EvalOptions options;
+  options.num_threads = threads;
   options.metrics = &metrics;
   CountInt result = 0;
   for (auto _ : state) {
@@ -195,7 +198,9 @@ void BM_CountSolutionsCoverThreads(benchmark::State& state) {
   Structure a = MakeFamily(family, n, &rng);
   Formula phi = ScalingCondition();
   MetricsSink metrics;
-  EvalOptions options{Engine::kLocal, TermEngine::kSparseCover, threads};
+  EvalOptions options;
+  options.term_engine = TermEngine::kSparseCover;
+  options.num_threads = threads;
   options.metrics = &metrics;
   CountInt result = 0;
   for (auto _ : state) {
@@ -218,7 +223,9 @@ void BM_CountSolutionsNaiveThreads(benchmark::State& state) {
   Rng rng(77);
   Structure a = MakeFamily(2, n, &rng);
   Formula phi = ScalingCondition();
-  EvalOptions options{Engine::kNaive, TermEngine::kBall, threads};
+  EvalOptions options;
+  options.engine = Engine::kNaive;
+  options.num_threads = threads;
   CountInt result = 0;
   for (auto _ : state) {
     result = *CountSolutions(phi, a, options);
@@ -266,7 +273,7 @@ void BM_ModelCheckLocal(benchmark::State& state) {
   Var x = VarNamed("bmx"), y = VarNamed("bmy");
   Formula sentence =
       Exists(x, Pred(PredPrime(), {Count({y}, Atom("E", {x, y}))}));
-  EvalOptions options{Engine::kLocal, TermEngine::kBall};
+  EvalOptions options;
   for (auto _ : state) {
     bool v = *ModelCheck(sentence, a, options);
     benchmark::DoNotOptimize(v);

@@ -24,7 +24,7 @@ Catalog MakeDb(std::size_t customers) {
 void BM_GroupByCountFoc1(benchmark::State& state) {
   Catalog db = MakeDb(static_cast<std::size_t>(state.range(0)));
   GroupByCountSpec spec{"Customer", "Country", "Id"};
-  EvalOptions options{Engine::kLocal, TermEngine::kBall};
+  EvalOptions options;
   std::size_t groups = 0;
   for (auto _ : state) {
     auto rows = RunGroupByCountFoc1(db, spec, options);
@@ -48,7 +48,7 @@ void BM_GroupByCountDirect(benchmark::State& state) {
 void BM_TotalCountsFoc1(benchmark::State& state) {
   Catalog db = MakeDb(static_cast<std::size_t>(state.range(0)));
   TotalCountsSpec spec{{"Customer", "Order"}};
-  EvalOptions options{Engine::kLocal, TermEngine::kBall};
+  EvalOptions options;
   for (auto _ : state) {
     auto rows = RunTotalCountsFoc1(db, spec, options);
     benchmark::DoNotOptimize(rows->size());
@@ -67,7 +67,7 @@ void BM_BerlinJoinFoc1(benchmark::State& state) {
   spec.filter_column = "City";
   spec.filter_value = Value{"Berlin"};
   spec.group_columns = {"FirstName", "LastName"};
-  EvalOptions options{Engine::kLocal, TermEngine::kBall};
+  EvalOptions options;
   std::size_t groups = 0;
   for (auto _ : state) {
     auto rows = RunJoinGroupCountFoc1(db, spec, options);

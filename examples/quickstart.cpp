@@ -24,8 +24,9 @@ int main() {
   Var x = VarNamed("x"), y = VarNamed("y");
   Formula has_deg4 = Exists(x, TermEq(Count({y}, Atom("E", {x, y})), Int(4)));
 
-  EvalOptions naive{Engine::kNaive, TermEngine::kBall};
-  EvalOptions local{Engine::kLocal, TermEngine::kBall};
+  EvalOptions naive;
+  naive.engine = Engine::kNaive;
+  EvalOptions local;
   std::printf("sentence: %s\n", ToString(has_deg4).c_str());
   std::printf("  naive engine: %s\n",
               *ModelCheck(has_deg4, db, naive) ? "true" : "false");

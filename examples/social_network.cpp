@@ -42,7 +42,7 @@ int main() {
               "%zu bots, %zu verified\n",
               n, follows.size(), red.size(), blue.size(), green.size());
 
-  EvalOptions local{Engine::kLocal, TermEngine::kBall};
+  EvalOptions local;
   Var x = VarNamed("x"), y = VarNamed("y"), z = VarNamed("z");
 
   // The paper's ground term t_R: total number of red nodes.
@@ -85,7 +85,8 @@ int main() {
   }
 
   // Cross-check one result against the naive reference engine.
-  EvalOptions naive{Engine::kNaive, TermEngine::kBall};
+  EvalOptions naive;
+  naive.engine = Engine::kNaive;
   bool agree = *CountSolutions(suspicious, net, local) ==
                *CountSolutions(suspicious, net, naive);
   std::printf("local engine agrees with reference: %s\n",

@@ -17,7 +17,7 @@ int main() {
   config.num_orders = 800;
   config.seed = 2026;
   Catalog db = MakeCustomerOrderDatabase(config);
-  EvalOptions options{Engine::kLocal, TermEngine::kBall};
+  EvalOptions options;
 
   // --- Query 1: SELECT Country, COUNT(Id) FROM Customer GROUP BY Country.
   GroupByCountSpec by_country{"Customer", "Country", "Id"};

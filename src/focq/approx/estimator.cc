@@ -201,7 +201,7 @@ std::optional<CountInt> ApproxErrorBound(const Expr& term,
 ApproxEvaluator::ApproxEvaluator(const Structure& a, const ApproxParams& params,
                                  const ApproxEvalHooks& hooks)
     : a_(&a), params_(params), hooks_(hooks), exact_(a) {
-  exact_.set_progress(hooks_.progress);
+  exact_.set_progress(hooks_);
 }
 
 Result<CountInt> ApproxEvaluator::EvaluateGround(const Term& t) {
@@ -265,25 +265,19 @@ Result<CountInt> ApproxEvaluator::EstimateCount(const ExprRef& node,
   if (!frame.has_value()) {
     return Status::OutOfRange("counting frame exceeds int64 range");
   }
-  if (hooks_.metrics != nullptr) {
-    hooks_.metrics->MaxCounter("approx.max_frame", *frame);
-    hooks_.metrics->MaxCounter("approx.budget", budget);
-  }
+  hooks_.Max("approx.max_frame", *frame);
+  hooks_.Max("approx.budget", budget);
 
   if (*frame <= budget) {
     // The frame fits inside the sample budget: enumerate it exactly with the
     // reference odometer (estimate == exact; sampling would only add noise).
-    int explain_node = hooks_.explain != nullptr
-                           ? hooks_.explain->NewNode(
-                                 hooks_.explain_parent, "estimate",
-                                 "#(" + std::to_string(k) + " vars) frame=" +
-                                     std::to_string(*frame) + " enumerated")
-                           : -1;
-    ScopedNodeTimer timer(hooks_.explain, explain_node, hooks_.metrics);
-    if (hooks_.metrics != nullptr) {
-      hooks_.metrics->AddCounter("approx.exact_frames", 1);
-      hooks_.metrics->AddCounter("approx.enumerated_tuples", *frame);
-    }
+    Phase phase(hooks_, "",
+                hooks_.NewNode("estimate", "#(" + std::to_string(k) +
+                                               " vars) frame=" +
+                                               std::to_string(*frame) +
+                                               " enumerated"));
+    hooks_.Count("approx.exact_frames", 1);
+    hooks_.Count("approx.enumerated_tuples", *frame);
     return exact_.Evaluate(Term(node), env);
   }
 
@@ -303,16 +297,14 @@ Result<CountInt> ApproxEvaluator::EstimateCount(const ExprRef& node,
   CountInt planned = 0;
   for (CountInt m_s : alloc) planned += m_s;
 
-  int explain_node = hooks_.explain != nullptr
-                         ? hooks_.explain->NewNode(
-                               hooks_.explain_parent, "estimate",
-                               "#(" + std::to_string(k) + " vars) frame=" +
-                                   std::to_string(*frame) + " samples=" +
-                                   std::to_string(planned) + " strata=" +
-                                   std::to_string(sizes.size()))
-                         : -1;
-  ScopedNodeTimer timer(hooks_.explain, explain_node, hooks_.metrics);
-  ScopedSpan span(hooks_.trace, "approx_sample");
+  Phase phase(hooks_, "approx_sample",
+              hooks_.NewNode("estimate", "#(" + std::to_string(k) +
+                                             " vars) frame=" +
+                                             std::to_string(*frame) +
+                                             " samples=" +
+                                             std::to_string(planned) +
+                                             " strata=" +
+                                             std::to_string(sizes.size())));
 
   std::optional<CountInt> per_coord =
       CheckedPow(static_cast<CountInt>(n), static_cast<int>(k) - 1);
@@ -326,9 +318,7 @@ Result<CountInt> ApproxEvaluator::EstimateCount(const ExprRef& node,
   Term indicator = Count({}, Formula(e.children[0]));
   const std::uint64_t stream = BinderStream(e, *env, my_ordinal);
 
-  if (hooks_.progress != nullptr) {
-    hooks_.progress->AddTotal(ProgressPhase::kApprox, planned);
-  }
+  hooks_.AddTotal(ProgressPhase::kApprox, planned);
 
   CountInt estimate = 0;
   std::int64_t total_hits = 0;
@@ -350,13 +340,11 @@ Result<CountInt> ApproxEvaluator::EstimateCount(const ExprRef& node,
         hooks_.num_threads, static_cast<std::size_t>(m_s),
         [&](std::size_t chunk, std::size_t begin, std::size_t end) {
           NaiveEvaluator check(*a_);
-          check.set_progress(hooks_.progress);
+          check.set_progress(hooks_);
           Env local = *env;
           std::int64_t local_hits = 0;
           for (std::size_t i = begin; i < end; ++i) {
-            if (hooks_.progress != nullptr && hooks_.progress->ShouldStop()) {
-              break;  // drain on hard deadline
-            }
+            if (hooks_.ShouldStop()) break;  // drain on hard deadline
             for (std::size_t j = 0; j < k; ++j) {
               const std::uint64_t counter =
                   static_cast<std::uint64_t>(i) * k + j;
@@ -373,16 +361,12 @@ Result<CountInt> ApproxEvaluator::EstimateCount(const ExprRef& node,
               break;
             }
             local_hits += *sat;
-            if (hooks_.progress != nullptr) {
-              hooks_.progress->Advance(ProgressPhase::kApprox, 1);
-            }
+            hooks_.Advance(ProgressPhase::kApprox, 1);
           }
           hits.Add(chunk, local_hits);
           tuples.Add(chunk, check.tuples_enumerated());
         });
-    if (hooks_.progress != nullptr && hooks_.progress->cancelled()) {
-      return hooks_.progress->DeadlineStatus();
-    }
+    if (hooks_.Cancelled()) return hooks_.DeadlineStatus();
     for (const Status& st : chunk_status) {
       if (!st.ok()) return st;
     }
@@ -402,14 +386,11 @@ Result<CountInt> ApproxEvaluator::EstimateCount(const ExprRef& node,
     estimate = *next;
   }
 
-  if (hooks_.metrics != nullptr) {
-    hooks_.metrics->AddCounter("approx.count_terms_sampled", 1);
-    hooks_.metrics->AddCounter("approx.samples_drawn", planned);
-    hooks_.metrics->AddCounter("approx.sample_hits", total_hits);
-    hooks_.metrics->AddCounter("approx.sample_check_tuples", check_tuples);
-    hooks_.metrics->AddCounter("approx.strata",
-                               static_cast<std::int64_t>(sizes.size()));
-  }
+  hooks_.Count("approx.count_terms_sampled", 1);
+  hooks_.Count("approx.samples_drawn", planned);
+  hooks_.Count("approx.sample_hits", total_hits);
+  hooks_.Count("approx.sample_check_tuples", check_tuples);
+  hooks_.Count("approx.strata", static_cast<std::int64_t>(sizes.size()));
   return estimate;
 }
 

@@ -42,25 +42,17 @@
 #include "focq/eval/naive_eval.h"
 #include "focq/hanf/sphere.h"
 #include "focq/logic/expr.h"
-#include "focq/obs/explain.h"
-#include "focq/obs/metrics.h"
-#include "focq/obs/progress.h"
-#include "focq/obs/trace.h"
+#include "focq/obs/instruments.h"
 #include "focq/structure/structure.h"
 #include "focq/util/status.h"
 
 namespace focq {
 
-/// Observability and execution hookup for one evaluation (all borrowed, all
-/// optional). `strata` non-null switches stratified sampling on; it must be
-/// the radius-`stratify_radius` typing of the evaluated structure.
-struct ApproxEvalHooks {
-  int num_threads = 1;
-  MetricsSink* metrics = nullptr;
-  TraceSink* trace = nullptr;
-  ExplainSink* explain = nullptr;
-  int explain_parent = -1;
-  ProgressSink* progress = nullptr;
+/// The instrumentation handle of one evaluation plus its stratification
+/// (borrowed, optional): `strata` non-null switches stratified sampling on;
+/// it must be the radius-`stratify_radius` typing of the evaluated
+/// structure.
+struct ApproxEvalHooks : Instruments {
   const SphereTypeAssignment* strata = nullptr;
 };
 

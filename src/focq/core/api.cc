@@ -15,16 +15,6 @@
 namespace focq {
 namespace {
 
-ExecOptions MakeExecOptions(const EvalOptions& options) {
-  ExecOptions exec{options.term_engine, options.num_threads};
-  exec.metrics = options.metrics;
-  exec.trace = options.trace;
-  exec.explain = options.explain;
-  exec.explain_parent = options.explain_parent;
-  exec.progress = options.progress;
-  return exec;
-}
-
 // Cancellation setup for one top-level API call: when the caller armed a
 // deadline, (re)start the sink's clock — conjuring a private call-local sink
 // when none was installed, so `deadline` alone suffices — and clear the
@@ -43,30 +33,6 @@ struct ProgressScope {
   }
 };
 
-// One explain node per public-API call: the attribution scope for whatever
-// the call compiles and executes (plans register beneath it). `node` stays -1
-// with no sink, so every downstream charge is a no-op.
-struct ExplainCall {
-  ExplainSink* sink = nullptr;
-  int node = -1;
-};
-
-ExplainCall BeginExplainCall(const EvalOptions& options, const char* kind,
-                             std::string label) {
-  if (options.explain == nullptr) return {};
-  return {options.explain,
-          options.explain->NewNode(options.explain_parent, kind,
-                                   std::move(label))};
-}
-
-// Reparents the downstream plan/sub-call nodes under the call's node.
-EvalOptions UnderExplainNode(const EvalOptions& options,
-                             const ExplainCall& call) {
-  EvalOptions out = options;
-  out.explain_parent = call.node;
-  return out;
-}
-
 // The caller's shared context, if it actually caches artifacts of `a`;
 // nullptr otherwise (each executor then owns a private context). The pointer
 // comparison makes stale options objects degrade to the uncached path
@@ -81,30 +47,23 @@ EvalContext* UsableContext(const EvalOptions& options, const Structure& a) {
 // Plan-shape counters (sums and high-water marks over every compilation this
 // sink observes); all derived from the query alone, hence thread-count
 // independent by construction.
-void RecordPlanMetrics(const EvalPlan& plan, MetricsSink* metrics) {
-  if (metrics == nullptr) return;
+void RecordPlanMetrics(const EvalPlan& plan, const Instruments& in) {
   EvalPlan::Stats stats = plan.ComputeStats();
-  metrics->AddCounter("plan.compilations", 1);
-  metrics->AddCounter("plan.layers",
-                      static_cast<std::int64_t>(stats.num_layers));
-  metrics->AddCounter("plan.relations",
-                      static_cast<std::int64_t>(stats.num_relations));
-  metrics->AddCounter(
-      "plan.fallback_relations",
-      static_cast<std::int64_t>(stats.num_fallback_relations));
-  metrics->AddCounter("plan.basic_cl_terms",
-                      static_cast<std::int64_t>(stats.num_basic_cl_terms));
-  metrics->MaxCounter("plan.max_width",
-                      static_cast<std::int64_t>(stats.max_width));
-  metrics->MaxCounter("plan.max_radius",
-                      static_cast<std::int64_t>(stats.max_radius));
+  in.Count("plan.compilations", 1);
+  in.Count("plan.layers", static_cast<std::int64_t>(stats.num_layers));
+  in.Count("plan.relations", static_cast<std::int64_t>(stats.num_relations));
+  in.Count("plan.fallback_relations",
+           static_cast<std::int64_t>(stats.num_fallback_relations));
+  in.Count("plan.basic_cl_terms",
+           static_cast<std::int64_t>(stats.num_basic_cl_terms));
+  in.Max("plan.max_width", static_cast<std::int64_t>(stats.max_width));
+  in.Max("plan.max_radius", static_cast<std::int64_t>(stats.max_radius));
 }
 
 // With the naive engine the work tally lives on the evaluator; flush it so
 // both engines report through the same sink interface.
-void FlushNaiveMetrics(const NaiveEvaluator& eval, MetricsSink* metrics) {
-  if (metrics == nullptr) return;
-  metrics->AddCounter("naive.tuples_enumerated", eval.tuples_enumerated());
+void FlushNaiveMetrics(const NaiveEvaluator& eval, const Instruments& in) {
+  in.Count("naive.tuples_enumerated", eval.tuples_enumerated());
 }
 
 // Everything one Engine::kApprox call hands the estimator, plus owned
@@ -118,38 +77,25 @@ struct ApproxSetup {
 // typing: from the caller's EvalContext when one caches this structure
 // (cancellable build, approx.strata_reused counter), else computed locally —
 // the typing is a pure function of (structure, radius), so warm and cold
-// runs stratify identically and stay bit-identical (DESIGN.md §3f).
-Status PrepareApprox(const EvalOptions& options, const Structure& a,
-                     const ExplainCall& call, ApproxSetup* setup) {
+// runs stratify identically and stay bit-identical (DESIGN.md §3f). The
+// estimator reports under the explain node of `call`.
+Status PrepareApprox(const EvalOptions& options, const Instruments& call,
+                     const Structure& a, ApproxSetup* setup) {
   FOCQ_RETURN_IF_ERROR(ValidateApproxParams(options.approx));
-  setup->hooks.num_threads = options.num_threads;
-  setup->hooks.metrics = options.metrics;
-  setup->hooks.trace = options.trace;
-  setup->hooks.explain = options.explain;
-  setup->hooks.explain_parent =
-      call.node >= 0 ? call.node : options.explain_parent;
-  setup->hooks.progress = options.progress;
+  setup->hooks = {call, nullptr};
   if (!options.approx.stratify) return Status::Ok();
   const std::uint32_t r = options.approx.stratify_radius;
-  ArtifactOptions artifact_opts{options.num_threads, options.metrics,
-                                options.trace, options.explain,
-                                options.progress};
   if (EvalContext* context = UsableContext(options, a); context != nullptr) {
     const bool reused = context->CachedSphereTypes(r) != nullptr;
     Result<const SphereTypeAssignment*> typing =
-        context->TrySphereTypes(r, artifact_opts);
+        context->TrySphereTypes(r, options);
     if (!typing.ok()) return typing.status();
     setup->hooks.strata = *typing;
-    if (options.metrics != nullptr) {
-      options.metrics->AddCounter("approx.strata_reused", reused ? 1 : 0);
-    }
+    options.Count("approx.strata_reused", reused ? 1 : 0);
   } else {
     Graph gaifman = BuildGaifmanGraph(a);
-    setup->local_strata.emplace(ComputeSphereTypes(
-        a, gaifman, r, options.num_threads, options.progress));
-    if (options.progress != nullptr && options.progress->cancelled()) {
-      return options.progress->DeadlineStatus();
-    }
+    setup->local_strata.emplace(ComputeSphereTypes(a, gaifman, r, options));
+    if (options.Cancelled()) return options.DeadlineStatus();
     setup->hooks.strata = &*setup->local_strata;
   }
   return Status::Ok();
@@ -169,36 +115,32 @@ Result<bool> ModelCheck(const Formula& sentence, const Structure& a,
     // answer exactly through the locality pipeline.
     FOCQ_RETURN_IF_ERROR(ValidateApproxParams(scope.options.approx));
     scope.options.engine = Engine::kLocal;
-    if (scope.options.metrics != nullptr) {
-      scope.options.metrics->AddCounter("approx.boolean_exact", 1);
-    }
+    scope.options.Count("approx.boolean_exact", 1);
   }
   const EvalOptions& options = scope.options;
-  ExplainCall call = BeginExplainCall(
-      options, options.engine == Engine::kNaive ? "naive-check" : "check",
+  // One explain node per public-API call: what the call compiles and
+  // executes registers beneath it.
+  ExecOptions call = options;
+  call.explain_parent = options.NewNode(
+      options.engine == Engine::kNaive ? "naive-check" : "check",
       ToString(sentence));
-  ScopedNodeTimer call_timer(call.sink, call.node, options.metrics);
+  Phase call_phase(call, "", call.explain_parent);
   if (options.engine == Engine::kNaive) {
-    ScopedSpan span(options.trace, "naive_eval");
+    Phase phase(options, "naive_eval");
     NaiveEvaluator eval(a);
-    eval.set_progress(options.progress);
+    eval.set_progress(options);
     bool holds = eval.Satisfies(sentence);
-    FlushNaiveMetrics(eval, options.metrics);
-    if (eval.stopped()) return options.progress->DeadlineStatus();
+    FlushNaiveMetrics(eval, options);
+    if (eval.stopped()) return options.DeadlineStatus();
     return holds;
   }
   Result<EvalPlan> plan = [&] {
-    int cnode = call.sink != nullptr
-                    ? call.sink->NewNode(call.node, "compile", "formula")
-                    : -1;
-    ScopedNodeTimer compile_timer(call.sink, cnode, options.metrics);
-    ScopedSpan span(options.trace, "compile");
+    Phase phase(call, "compile", call.NewNode("compile", "formula"));
     return CompileFormula(sentence, a.signature());
   }();
   if (!plan.ok()) return plan.status();
-  RecordPlanMetrics(*plan, options.metrics);
-  PlanExecutor exec(*plan, a, MakeExecOptions(UnderExplainNode(options, call)),
-                    UsableContext(options, a));
+  RecordPlanMetrics(*plan, options);
+  PlanExecutor exec(*plan, a, call, UsableContext(options, a));
   FOCQ_RETURN_IF_ERROR(exec.MaterializeLayers());
   return exec.CheckSentence();
 }
@@ -210,40 +152,35 @@ Result<CountInt> EvaluateGroundTerm(const Term& t, const Structure& a,
   }
   ProgressScope scope(caller_options);
   const EvalOptions& options = scope.options;
-  ExplainCall call = BeginExplainCall(
-      options,
-      options.engine == Engine::kNaive     ? "naive-term"
-      : options.engine == Engine::kApprox  ? "approx-term"
-                                           : "term",
-      ToString(t));
-  ScopedNodeTimer call_timer(call.sink, call.node, options.metrics);
+  ExecOptions call = options;
+  call.explain_parent =
+      options.NewNode(options.engine == Engine::kNaive    ? "naive-term"
+                      : options.engine == Engine::kApprox ? "approx-term"
+                                                          : "term",
+                      ToString(t));
+  Phase call_phase(call, "", call.explain_parent);
   if (options.engine == Engine::kNaive) {
-    ScopedSpan span(options.trace, "naive_eval");
+    Phase phase(options, "naive_eval");
     NaiveEvaluator eval(a);
-    eval.set_progress(options.progress);
+    eval.set_progress(options);
     Result<CountInt> v = eval.Evaluate(t);
-    FlushNaiveMetrics(eval, options.metrics);
+    FlushNaiveMetrics(eval, options);
     return v;
   }
   if (options.engine == Engine::kApprox) {
-    ScopedSpan span(options.trace, "approx_eval");
+    Phase phase(options, "approx_eval");
     ApproxSetup setup;
-    FOCQ_RETURN_IF_ERROR(PrepareApprox(options, a, call, &setup));
+    FOCQ_RETURN_IF_ERROR(PrepareApprox(options, call, a, &setup));
     ApproxEvaluator eval(a, options.approx, setup.hooks);
     return eval.EvaluateGround(t);
   }
   Result<EvalPlan> plan = [&] {
-    int cnode = call.sink != nullptr
-                    ? call.sink->NewNode(call.node, "compile", "term")
-                    : -1;
-    ScopedNodeTimer compile_timer(call.sink, cnode, options.metrics);
-    ScopedSpan span(options.trace, "compile");
+    Phase phase(call, "compile", call.NewNode("compile", "term"));
     return CompileTerm(t, a.signature());
   }();
   if (!plan.ok()) return plan.status();
-  RecordPlanMetrics(*plan, options.metrics);
-  PlanExecutor exec(*plan, a, MakeExecOptions(UnderExplainNode(options, call)),
-                    UsableContext(options, a));
+  RecordPlanMetrics(*plan, options);
+  PlanExecutor exec(*plan, a, call, UsableContext(options, a));
   FOCQ_RETURN_IF_ERROR(exec.MaterializeLayers());
   return exec.TermValue();
 }
@@ -259,13 +196,12 @@ Result<CountInt> CountSolutions(const Formula& phi, const Structure& a,
     return *holds ? CountInt{1} : CountInt{0};
   }
   if (options.engine == Engine::kNaive) {
-    ExplainCall call = BeginExplainCall(options, "naive-count", ToString(phi));
-    ScopedNodeTimer call_timer(call.sink, call.node, options.metrics);
-    ScopedSpan span(options.trace, "naive_eval");
+    Phase phase(options, "naive_eval",
+                options.NewNode("naive-count", ToString(phi)));
     NaiveEvaluator eval(a);
-    eval.set_progress(options.progress);
+    eval.set_progress(options);
     Result<CountInt> v = eval.CountSolutions(phi, options.num_threads);
-    FlushNaiveMetrics(eval, options.metrics);
+    FlushNaiveMetrics(eval, options);
     return v;
   }
   return EvaluateGroundTerm(Count(free, phi), a, options);
@@ -281,25 +217,19 @@ Result<QueryResult> EvaluateUnaryQueryLocal(const Foc1Query& q,
   // so the Gaifman graph and covers are built once for the whole query.
   EvalContext* context = UsableContext(options, a);
 
-  ExplainCall cond_call =
-      BeginExplainCall(options, "condition", ToString(q.condition));
+  ExecOptions cond_call = options;
+  cond_call.explain_parent =
+      options.NewNode("condition", ToString(q.condition));
   Result<std::vector<bool>> sat = [&]() -> Result<std::vector<bool>> {
-    ScopedNodeTimer call_timer(cond_call.sink, cond_call.node,
-                               options.metrics);
+    Phase call_phase(cond_call, "", cond_call.explain_parent);
     Result<EvalPlan> cond_plan = [&] {
-      int cnode = cond_call.sink != nullptr
-                      ? cond_call.sink->NewNode(cond_call.node, "compile",
-                                                "formula")
-                      : -1;
-      ScopedNodeTimer compile_timer(cond_call.sink, cnode, options.metrics);
-      ScopedSpan span(options.trace, "compile");
+      Phase phase(cond_call, "compile",
+                  cond_call.NewNode("compile", "formula"));
       return CompileFormula(q.condition, a.signature());
     }();
     if (!cond_plan.ok()) return cond_plan.status();
-    RecordPlanMetrics(*cond_plan, options.metrics);
-    PlanExecutor cond_exec(
-        *cond_plan, a, MakeExecOptions(UnderExplainNode(options, cond_call)),
-        context);
+    RecordPlanMetrics(*cond_plan, options);
+    PlanExecutor cond_exec(*cond_plan, a, cond_call, context);
     FOCQ_RETURN_IF_ERROR(cond_exec.MaterializeLayers());
     return cond_exec.CheckAll();
   }();
@@ -309,25 +239,17 @@ Result<QueryResult> EvaluateUnaryQueryLocal(const Foc1Query& q,
   std::vector<EvalPlan> term_plans;  // must outlive their executors
   term_plans.reserve(q.head_terms.size());
   for (const Term& t : q.head_terms) {
-    ExplainCall term_call =
-        BeginExplainCall(options, "head-term", ToString(t));
-    ScopedNodeTimer call_timer(term_call.sink, term_call.node,
-                               options.metrics);
+    ExecOptions term_call = options;
+    term_call.explain_parent = options.NewNode("head-term", ToString(t));
+    Phase call_phase(term_call, "", term_call.explain_parent);
     Result<EvalPlan> plan = [&] {
-      int cnode = term_call.sink != nullptr
-                      ? term_call.sink->NewNode(term_call.node, "compile",
-                                                "term")
-                      : -1;
-      ScopedNodeTimer compile_timer(term_call.sink, cnode, options.metrics);
-      ScopedSpan span(options.trace, "compile");
+      Phase phase(term_call, "compile", term_call.NewNode("compile", "term"));
       return CompileTerm(t, a.signature());
     }();
     if (!plan.ok()) return plan.status();
-    RecordPlanMetrics(*plan, options.metrics);
+    RecordPlanMetrics(*plan, options);
     term_plans.push_back(std::move(*plan));
-    PlanExecutor exec(term_plans.back(), a,
-                      MakeExecOptions(UnderExplainNode(options, term_call)),
-                      context);
+    PlanExecutor exec(term_plans.back(), a, term_call, context);
     FOCQ_RETURN_IF_ERROR(exec.MaterializeLayers());
     Result<std::vector<CountInt>> values = exec.TermValues();
     if (!values.ok()) return values.status();
@@ -358,13 +280,11 @@ Result<QueryResult> EvaluateMultiQueryLocal(const Foc1Query& q,
   std::optional<EvalContext> local_context;
   EvalContext* context = UsableContext(options, a);
   if (context == nullptr) context = &local_context.emplace(a);
-  const Graph& gaifman = context->Gaifman(
-      {options.num_threads, options.metrics, options.trace, options.explain});
+  const Graph& gaifman = context->Gaifman(options);
   const std::size_t k = q.head_vars.size();
-  ExplainCall verify_call = BeginExplainCall(
-      options, "candidate-verify", std::to_string(k) + " head vars");
-  ScopedNodeTimer verify_timer(verify_call.sink, verify_call.node,
-                               options.metrics);
+  Phase verify_phase(
+      options, "",
+      options.NewNode("candidate-verify", std::to_string(k) + " head vars"));
 
   // Find a driver atom.
   const Expr* scope = &q.condition.node();
@@ -431,29 +351,22 @@ Result<QueryResult> EvaluateMultiQueryLocal(const Foc1Query& q,
   // a private vector; concatenating those in chunk order reproduces the
   // serial row order exactly.
   std::vector<Tuple> ordered(candidates.begin(), candidates.end());
-  if (options.metrics != nullptr) {
-    options.metrics->AddCounter("query.candidates_verified",
-                                static_cast<std::int64_t>(ordered.size()));
-  }
+  options.Count("query.candidates_verified",
+                static_cast<std::int64_t>(ordered.size()));
   const int workers = EffectiveThreads(options.num_threads);
   const std::size_t num_chunks =
       MakeChunkGrid(ordered.size(), workers).num_chunks;
   std::vector<std::vector<QueryRow>> chunk_rows(num_chunks);
   std::vector<Status> chunk_status(num_chunks, Status::Ok());
-  ProgressSink* progress = options.progress;
-  if (progress != nullptr) {
-    progress->AddTotal(ProgressPhase::kResidual,
-                       static_cast<std::int64_t>(ordered.size()));
-  }
+  options.AddTotal(ProgressPhase::kResidual,
+                   static_cast<std::int64_t>(ordered.size()));
   ParallelFor(
       workers, ordered.size(),
       [&](std::size_t chunk, std::size_t begin, std::size_t end) {
         LocalEvaluator eval(a, gaifman);
         for (std::size_t c = begin; c < end; ++c) {
-          if (progress != nullptr) {
-            if (progress->ShouldStop()) return;  // drain on hard deadline
-            progress->Advance(ProgressPhase::kResidual, 1);
-          }
+          if (options.ShouldStop()) return;  // drain on hard deadline
+          options.Advance(ProgressPhase::kResidual, 1);
           const Tuple& head = ordered[c];
           Env env;
           for (std::size_t i = 0; i < k; ++i) {
@@ -473,9 +386,7 @@ Result<QueryResult> EvaluateMultiQueryLocal(const Foc1Query& q,
           chunk_rows[chunk].push_back(std::move(row));
         }
       });
-  if (progress != nullptr && progress->cancelled()) {
-    return progress->DeadlineStatus();
-  }
+  if (options.Cancelled()) return options.DeadlineStatus();
   QueryResult result;
   for (std::size_t c = 0; c < num_chunks; ++c) {
     if (!chunk_status[c].ok()) return chunk_status[c];
@@ -504,13 +415,15 @@ Result<QueryResult> EvaluateQueryApprox(const Foc1Query& q, const Structure& a,
                                  : EvaluateUnaryQueryLocal(shell, a, exact);
   if (!rows.ok()) return rows;
   if (q.head_terms.empty()) return rows;
-  ExplainCall call = BeginExplainCall(
-      options, "approx-head-terms",
-      std::to_string(q.head_terms.size()) + " terms over " +
-          std::to_string(rows.value().rows.size()) + " rows");
-  ScopedNodeTimer call_timer(call.sink, call.node, options.metrics);
+  Instruments call = options;
+  call.explain_parent = options.NewNode(
+      "approx-head-terms", std::to_string(q.head_terms.size()) +
+                               " terms over " +
+                               std::to_string(rows.value().rows.size()) +
+                               " rows");
+  Phase call_phase(call, "", call.explain_parent);
   ApproxSetup setup;
-  FOCQ_RETURN_IF_ERROR(PrepareApprox(options, a, call, &setup));
+  FOCQ_RETURN_IF_ERROR(PrepareApprox(options, call, a, &setup));
   ApproxEvaluator eval(a, options.approx, setup.hooks);
   QueryResult result = std::move(rows.value());
   for (QueryRow& row : result.rows) {
@@ -548,18 +461,12 @@ Result<QueryResult> EvaluateQuery(const Foc1Query& q, const Structure& a,
   }
   // One "query" root per call: warm Session batches attribute per query
   // because every call adds its own subtree to the shared sink.
-  ExplainCall query_call = BeginExplainCall(
-      options, "query",
-      std::to_string(q.head_vars.size()) + " head vars, " +
-          std::to_string(q.head_terms.size()) + " head terms, condition " +
-          ToString(q.condition));
-  query_options.explain_parent = query_call.node >= 0
-                                     ? query_call.node
-                                     : options.explain_parent;
+  query_options.explain_parent = options.NewNode(
+      "query", std::to_string(q.head_vars.size()) + " head vars, " +
+                   std::to_string(q.head_terms.size()) +
+                   " head terms, condition " + ToString(q.condition));
   Result<QueryResult> result = [&]() -> Result<QueryResult> {
-    ScopedNodeTimer query_timer(query_call.sink, query_call.node,
-                                options.metrics);
-    ScopedSpan span(options.trace, "query_eval");
+    Phase phase(options, "query_eval", query_options.explain_parent);
     if (options.engine == Engine::kNaive) {
       return EvaluateQueryNaive(q, a);
     }
@@ -621,12 +528,7 @@ Result<UpdateStats> ApplyUpdate(const TupleUpdate& u, Structure* a,
         "session is read-only: construct Session(Structure*) to apply "
         "updates");
   }
-  ArtifactOptions opts;
-  opts.num_threads = options.num_threads;
-  opts.metrics = options.metrics;
-  opts.trace = options.trace;
-  opts.explain = options.explain;
-  return options.context->ApplyUpdate(a, u, opts);
+  return options.context->ApplyUpdate(a, u, options);
 }
 
 Result<UpdateStats> Session::ApplyUpdate(const TupleUpdate& u) {

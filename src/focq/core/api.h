@@ -35,48 +35,28 @@ enum class Engine {
             // still exact, via the kLocal pipeline
 };
 
-struct EvalOptions {
+/// Options of one public-API call: the plan-execution options (the
+/// instrumentation handle of focq/obs/instruments.h — thread count and
+/// sinks — plus the cl-term engine) and the API-level knobs below. Results
+/// are bit-identical for every num_threads and for warm vs cold contexts.
+/// With an EXPLAIN sink, every call adds its own node under explain_parent
+/// (EvaluateQuery a "query" root), so warm Session batches attribute per
+/// query.
+struct EvalOptions : ExecOptions {
   Engine engine = Engine::kLocal;
-  TermEngine term_engine = TermEngine::kBall;  // used by Engine::kLocal
   // Accuracy contract, seed and stratification of Engine::kApprox (ignored
-  // by the exact engines). Like everything else here, results are
-  // bit-identical for every num_threads and for warm vs cold contexts —
-  // the sampling RNG is counter-based per sample, not per chunk.
+  // by the exact engines). The sampling RNG is counter-based per sample, not
+  // per chunk, so approximate results obey the same determinism contract.
   ApproxParams approx;
-  // Worker threads for the parallel engine: 0 = all hardware threads,
-  // 1 (default) = serial. Every result is bit-identical for every value —
-  // parallel loops write disjoint slots and reduce partial counts in a
-  // fixed chunk order (see DESIGN.md, "Concurrency model").
-  int num_threads = 1;
-  // Optional observability sinks (not owned; may be null). Counters for
-  // input-determined quantities (plan layers, clusters, anchors, tuples) are
-  // identical for every num_threads; spans record wall time only. Installing
-  // sinks never changes results (see DESIGN.md, "Observability").
-  MetricsSink* metrics = nullptr;
-  TraceSink* trace = nullptr;
-  // EXPLAIN / EXPLAIN ANALYZE (not owned; may be null): materialises every
-  // compiled plan as a PlanNode tree under `explain_parent` (-1: forest
-  // roots) and attributes per-node wall time, memory high-water marks and —
-  // when `metrics` is also installed — the deterministic pipeline counters.
-  // Warm batches through a Session attribute per query: every EvaluateQuery
-  // call adds its own "query" root to the sink. Installing a sink never
-  // changes results (see DESIGN.md, "Observability").
-  ExplainSink* explain = nullptr;
-  int explain_parent = -1;
-  // Live progress + cooperative cancellation (not owned; may be null). The
-  // sink's monotone per-phase counters are advanced from the engines at
-  // ParallelFor chunk granularity; a polling thread may read them at any
-  // time. Installing a sink never changes results. When `deadline` is armed
-  // (soft_ms/hard_ms > 0) it is (re)armed against the sink at every entry
-  // point: soft expiry fires the sink's one-shot callback (the CLI dumps the
-  // flight recorder there); hard expiry cancels the call cooperatively at
-  // the next chunk boundary and the call returns kDeadlineExceeded carrying
-  // the progress snapshot. A deadline with a null `progress` gets a private
-  // call-local sink, so cancellation works without external wiring. No
-  // partially built artifacts are ever cached by a cancelled call, and a
-  // re-run after cancellation is bit-identical to a cold run (see DESIGN.md
-  // §3b, "Live observability").
-  ProgressSink* progress = nullptr;
+  // Per-call time budget. When armed (soft_ms/hard_ms > 0) it is (re)armed
+  // against `progress` at every entry point: soft expiry fires the sink's
+  // one-shot callback (the CLI dumps the flight recorder there); hard expiry
+  // cancels the call cooperatively at the next chunk boundary and the call
+  // returns kDeadlineExceeded carrying the progress snapshot. A deadline
+  // with a null `progress` gets a private call-local sink, so cancellation
+  // works without external wiring. No partially built artifacts are ever
+  // cached by a cancelled call, and a re-run after cancellation is
+  // bit-identical to a cold run (see DESIGN.md §3b, "Live observability").
   Deadline deadline;
   // Optional shared artifact cache (not owned; may be null). When set and
   // caching artifacts of the evaluated structure, Gaifman graphs and covers
@@ -118,7 +98,7 @@ std::vector<Result<QueryResult>> EvaluateQueries(
 
 /// Applies one tuple update to `a` and repairs the artifacts cached in
 /// `options.context` (which must be caching `a`) in place, with the options'
-/// thread count and metrics / trace / explain sinks — see
+/// instrumentation handle — see
 /// EvalContext::ApplyUpdate for the full update/invalidate contract. A null
 /// `a` (a read-only target) or context fails with kUnsupported.
 Result<UpdateStats> ApplyUpdate(const TupleUpdate& u, Structure* a,

@@ -14,12 +14,12 @@
 namespace focq {
 namespace {
 
-// One root-level explain node per artifact build: the build is
+// One root-level explain node per artifact build or repair: the work is
 // query-independent (whichever query misses the cache pays for it), so it
 // hangs off the forest root rather than under the unlucky query's plan.
-int NewArtifactNode(const ArtifactOptions& opts, const std::string& label) {
-  if (opts.explain == nullptr) return -1;
-  return opts.explain->NewNode(-1, "artifact", label);
+int NewRootNode(Instruments opts, std::string kind, std::string label) {
+  opts.explain_parent = -1;
+  return opts.NewNode(std::move(kind), std::move(label));
 }
 
 // Sorted union of two sorted vertex lists.
@@ -32,15 +32,16 @@ std::vector<VertexId> UnionSorted(const std::vector<VertexId>& a,
   return out;
 }
 
-void Add(MetricsSink* metrics, const char* name, std::int64_t delta) {
-  if (metrics != nullptr && delta != 0) metrics->AddCounter(name, delta);
+// Repair counters appear only once they are non-zero.
+void Add(const Instruments& opts, const char* name, std::int64_t delta) {
+  if (delta != 0) opts.Count(name, delta);
 }
 
 }  // namespace
 
 void EvalContext::RecordHit(const ArtifactOptions& opts, const char* what) {
   ++stats_.hits;
-  if (opts.metrics != nullptr) opts.metrics->AddCounter("ctx.cache.hits", 1);
+  opts.Count("ctx.cache.hits", 1);
   FlightRecord(FlightEventKind::kCacheHit, what);
 }
 
@@ -48,27 +49,20 @@ void EvalContext::RecordMiss(const ArtifactOptions& opts, std::int64_t bytes,
                              const char* what) {
   ++stats_.misses;
   stats_.bytes += bytes;
-  if (opts.metrics != nullptr) {
-    opts.metrics->AddCounter("ctx.cache.misses", 1);
-    opts.metrics->MaxCounter("ctx.cache.bytes", stats_.bytes);
-  }
+  opts.Count("ctx.cache.misses", 1);
+  opts.Max("ctx.cache.bytes", stats_.bytes);
   FlightRecord(FlightEventKind::kCacheMiss, what, bytes);
 }
 
 const Graph& EvalContext::EnsureGaifman(const ArtifactOptions& opts) {
   if (!gaifman_.has_value()) {
-    int node = NewArtifactNode(opts, "gaifman graph");
-    ScopedNodeTimer timer(opts.explain, node, opts.metrics);
-    ScopedSpan span(opts.trace, "gaifman_build");
+    int node = NewRootNode(opts, "artifact", "gaifman graph");
+    Phase phase(opts, "gaifman_build", node);
     gaifman_.emplace(BuildGaifmanGraph(*a_));
-    if (opts.metrics != nullptr) {
-      opts.metrics->AddCounter("gaifman.builds", 1);
-    }
+    opts.Count("gaifman.builds", 1);
     std::int64_t bytes = gaifman_->ApproxBytes();
-    if (opts.metrics != nullptr) {
-      opts.metrics->MaxCounter("mem.gaifman.bytes", bytes);
-    }
-    if (opts.explain != nullptr) opts.explain->RecordBytes(node, bytes);
+    opts.Max("mem.gaifman.bytes", bytes);
+    opts.NodeBytes(node, bytes);
     RecordMiss(opts, bytes, "gaifman");
   }
   return *gaifman_;
@@ -87,7 +81,7 @@ const NeighborhoodCover& EvalContext::Cover(std::uint32_t radius,
                                             const ArtifactOptions& opts) {
   // The infallible getter ignores any armed deadline: with no cancellation
   // source the Try variant below cannot fail.
-  ArtifactOptions no_cancel = opts;
+  Instruments no_cancel = opts;
   no_cancel.progress = nullptr;
   Result<const NeighborhoodCover*> cover = TryCover(radius, backend, no_cancel);
   return **cover;
@@ -103,35 +97,30 @@ Result<const NeighborhoodCover*> EvalContext::TryCover(
     return &it->second;
   }
   const Graph& gaifman = EnsureGaifman(opts);
-  int node = NewArtifactNode(
-      opts, std::string(backend == CoverBackend::kExact ? "exact" : "sparse") +
-                " cover r=" + std::to_string(radius));
-  ScopedNodeTimer timer(opts.explain, node, opts.metrics);
-  ScopedSpan span(opts.trace, "cover_build");
-  NeighborhoodCover cover =
-      backend == CoverBackend::kExact
-          ? ExactBallCover(gaifman, radius, opts.num_threads, opts.metrics,
-                           opts.progress)
-          : SparseCover(gaifman, radius, opts.num_threads, opts.metrics,
-                        opts.progress);
-  if (opts.progress != nullptr && opts.progress->cancelled()) {
+  int node = NewRootNode(
+      opts, "artifact",
+      std::string(backend == CoverBackend::kExact ? "exact" : "sparse") +
+          " cover r=" + std::to_string(radius));
+  Phase phase(opts, "cover_build", node);
+  NeighborhoodCover cover = backend == CoverBackend::kExact
+                                ? ExactBallCover(gaifman, radius, opts)
+                                : SparseCover(gaifman, radius, opts);
+  if (opts.Cancelled()) {
     // Discard the partial build without caching it: the next access rebuilds
     // from scratch, so a warm re-run stays bit-identical to a cold run.
-    return opts.progress->DeadlineStatus();
+    return opts.DeadlineStatus();
   }
   it = covers_.emplace(key, std::move(cover)).first;
   std::int64_t bytes = it->second.ApproxBytes();
-  if (opts.metrics != nullptr) {
-    opts.metrics->MaxCounter("mem.cover.bytes", bytes);
-  }
-  if (opts.explain != nullptr) opts.explain->RecordBytes(node, bytes);
+  opts.Max("mem.cover.bytes", bytes);
+  opts.NodeBytes(node, bytes);
   RecordMiss(opts, bytes, "cover");
   return &it->second;
 }
 
 const SphereTypeAssignment& EvalContext::SphereTypes(
     std::uint32_t radius, const ArtifactOptions& opts) {
-  ArtifactOptions no_cancel = opts;
+  Instruments no_cancel = opts;
   no_cancel.progress = nullptr;
   Result<const SphereTypeAssignment*> spheres =
       TrySphereTypes(radius, no_cancel);
@@ -147,20 +136,18 @@ Result<const SphereTypeAssignment*> EvalContext::TrySphereTypes(
     return &it->second;
   }
   const Graph& gaifman = EnsureGaifman(opts);
-  int node = NewArtifactNode(opts, "sphere types r=" + std::to_string(radius));
-  ScopedNodeTimer timer(opts.explain, node, opts.metrics);
-  ScopedSpan span(opts.trace, "hanf_typing");
-  SphereTypeAssignment assignment = ComputeSphereTypes(
-      *a_, gaifman, radius, opts.num_threads, opts.progress);
-  if (opts.progress != nullptr && opts.progress->cancelled()) {
-    return opts.progress->DeadlineStatus();  // partial typing: not cached
+  int node =
+      NewRootNode(opts, "artifact", "sphere types r=" + std::to_string(radius));
+  Phase phase(opts, "hanf_typing", node);
+  SphereTypeAssignment assignment =
+      ComputeSphereTypes(*a_, gaifman, radius, opts);
+  if (opts.Cancelled()) {
+    return opts.DeadlineStatus();  // partial typing: not cached
   }
   it = spheres_.emplace(radius, std::move(assignment)).first;
   std::int64_t bytes = it->second.ApproxBytes();
-  if (opts.metrics != nullptr) {
-    opts.metrics->MaxCounter("mem.spheres.bytes", bytes);
-  }
-  if (opts.explain != nullptr) opts.explain->RecordBytes(node, bytes);
+  opts.Max("mem.spheres.bytes", bytes);
+  opts.NodeBytes(node, bytes);
   RecordMiss(opts, bytes, "spheres");
   return &it->second;
 }
@@ -201,24 +188,18 @@ Result<UpdateStats> EvalContext::ApplyUpdate(Structure* a,
   stats.changed = u.kind == UpdateKind::kInsert
                       ? a->InsertTuple(u.symbol, u.tuple)
                       : a->DeleteTuple(u.symbol, u.tuple);
-  if (opts.metrics != nullptr) {
-    opts.metrics->AddCounter(
-        !stats.changed ? "update.noops"
-        : u.kind == UpdateKind::kInsert ? "update.inserts" : "update.deletes",
-        1);
-  }
+  opts.Count(!stats.changed                   ? "update.noops"
+             : u.kind == UpdateKind::kInsert ? "update.inserts"
+                                             : "update.deletes",
+             1);
   // No-op updates leave structure, caches and support counts untouched;
   // with nothing cached there is nothing to repair (the next artifact
   // access builds from the already-updated structure).
   if (!stats.changed || !have_artifacts) return stats;
 
-  int node = opts.explain == nullptr
-                 ? -1
-                 : opts.explain->NewNode(-1, "repair",
-                                         UpdateToString(u, a->signature()));
-  ScopedNodeTimer timer(opts.explain, node, opts.metrics);
-  ScopedSpan span(opts.trace, "update_repair");
-  Add(opts.metrics, "update.repairs", 1);
+  int node = NewRootNode(opts, "repair", UpdateToString(u, a->signature()));
+  Phase phase(opts, "update_repair", node);
+  Add(opts, "update.repairs", 1);
   FlightRecord(FlightEventKind::kRepair, "update_repair",
                static_cast<std::int64_t>(u.symbol),
                static_cast<std::int64_t>(u.tuple.size()));
@@ -229,9 +210,9 @@ Result<UpdateStats> EvalContext::ApplyUpdate(Structure* a,
     std::int64_t dropped = static_cast<std::int64_t>(spheres_.size());
     spheres_.clear();
     stats.artifacts_invalidated += dropped;
-    Add(opts.metrics, "cache.invalidated.spheres", dropped);
+    Add(opts, "cache.invalidated.spheres", dropped);
     RecomputeBytes();
-    if (opts.explain != nullptr) opts.explain->RecordBytes(node, stats_.bytes);
+    opts.NodeBytes(node, stats_.bytes);
     return stats;
   }
 
@@ -272,8 +253,8 @@ Result<UpdateStats> EvalContext::ApplyUpdate(Structure* a,
   }
   stats.edges_added = static_cast<std::int64_t>(delta.added.size());
   stats.edges_removed = static_cast<std::int64_t>(delta.removed.size());
-  Add(opts.metrics, "update.gaifman.edges_added", stats.edges_added);
-  Add(opts.metrics, "update.gaifman.edges_removed", stats.edges_removed);
+  Add(opts, "update.gaifman.edges_added", stats.edges_added);
+  Add(opts, "update.gaifman.edges_removed", stats.edges_removed);
 
   // Cover repair — only when the Gaifman graph changed (clusters are pure
   // functions of the graph).
@@ -291,7 +272,7 @@ Result<UpdateStats> EvalContext::ApplyUpdate(Structure* a,
         // E15: cache.invalidated.covers vs ctx.cache.misses).
         it = covers_.erase(it);
         ++stats.artifacts_invalidated;
-        Add(opts.metrics, "cache.invalidated.covers", 1);
+        Add(opts, "cache.invalidated.covers", 1);
         continue;
       }
       BallExplorer explorer(*gaifman_);
@@ -361,8 +342,8 @@ Result<UpdateStats> EvalContext::ApplyUpdate(Structure* a,
       ++it;
     }
   }
-  Add(opts.metrics, "cover.clusters.rebuilt", stats.clusters_rebuilt);
-  Add(opts.metrics, "cover.clusters.added", stats.clusters_added);
+  Add(opts, "cover.clusters.rebuilt", stats.clusters_rebuilt);
+  Add(opts, "cover.clusters.added", stats.clusters_added);
 
   // Sphere repair: retype affected elements against the (monotonically
   // growing) registry. Unlike covers, spheres see tuple *content*, so even a
@@ -379,7 +360,7 @@ Result<UpdateStats> EvalContext::ApplyUpdate(Structure* a,
       if (2 * affected.size() > n) {
         it = spheres_.erase(it);
         ++stats.artifacts_invalidated;
-        Add(opts.metrics, "cache.invalidated.spheres", 1);
+        Add(opts, "cache.invalidated.spheres", 1);
         continue;
       }
       for (ElemId e : affected) {
@@ -405,13 +386,11 @@ Result<UpdateStats> EvalContext::ApplyUpdate(Structure* a,
       ++it;
     }
   }
-  Add(opts.metrics, "hanf.retyped", stats.elements_retyped);
+  Add(opts, "hanf.retyped", stats.elements_retyped);
 
   RecomputeBytes();
-  if (opts.metrics != nullptr) {
-    opts.metrics->MaxCounter("ctx.cache.bytes", stats_.bytes);
-  }
-  if (opts.explain != nullptr) opts.explain->RecordBytes(node, stats_.bytes);
+  opts.Max("ctx.cache.bytes", stats_.bytes);
+  opts.NodeBytes(node, stats_.bytes);
   return stats;
 }
 

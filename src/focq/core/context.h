@@ -31,10 +31,7 @@
 
 #include "focq/cover/neighborhood_cover.h"
 #include "focq/hanf/sphere.h"
-#include "focq/obs/explain.h"
-#include "focq/obs/metrics.h"
-#include "focq/obs/progress.h"
-#include "focq/obs/trace.h"
+#include "focq/obs/instruments.h"
 #include "focq/structure/update.h"
 #include "focq/util/status.h"
 
@@ -47,24 +44,16 @@ enum class CoverBackend {
   kExact,   // X(a) = N_r(a) exact-ball cover (the per-radius ball lists)
 };
 
-/// Per-access observability hookup for artifact getters. Builds triggered by
-/// the access record their build counters/spans through these sinks; cache
-/// hits record only ctx.cache.* counters. `num_threads` is a pure speed knob
-/// for builds (0 = all hardware threads) — cached artifacts are bit-identical
-/// for every value, which is exactly what makes them safe to share.
-struct ArtifactOptions {
-  int num_threads = 1;
-  MetricsSink* metrics = nullptr;  // not owned; may be null
-  TraceSink* trace = nullptr;      // not owned; may be null
-  // EXPLAIN ANALYZE plan attribution: a build triggered by this access adds
-  // a root-level "artifact" node (with build time, counters and footprint
-  // bytes) to the sink of whichever query got unlucky and paid for it.
-  ExplainSink* explain = nullptr;  // not owned; may be null
-  // Progress + cooperative cancellation for builds triggered by this access
-  // (not owned; may be null). Only the Try* getters honour cancellation; the
-  // infallible getters ignore an armed deadline and always complete.
-  ProgressSink* progress = nullptr;
-};
+/// The artifact getters take the instrumentation handle as it is (the name
+/// stays for the callers that spell it, perfbench's replay among them). A
+/// build triggered by an access records its build counters and span, and
+/// adds a root-level "artifact" node to the EXPLAIN sink of whichever query
+/// paid for it (explain_parent is not used); a cache hit records only the
+/// ctx.cache.* counters. num_threads is a pure speed knob for builds: cached
+/// artifacts are bit-identical for every value, which is what makes them
+/// safe to share. Only the Try* getters honour cancellation; the infallible
+/// getters ignore an armed deadline and always complete.
+using ArtifactOptions = Instruments;
 
 /// Per-update repair telemetry, the value half of ApplyUpdate. Every field
 /// is determined by (structure, update, cache contents) alone, independent of

@@ -24,8 +24,8 @@ Result<std::unique_ptr<SolutionStream>> SolutionStream::Open(
   // semantics).
   Result<EvalPlan> plan = CompileFormula(condition, a.signature());
   if (!plan.ok()) return plan.status();
-  std::unique_ptr<SolutionStream> stream(new SolutionStream(
-      std::move(*plan), a, ExecOptions{options.term_engine}));
+  std::unique_ptr<SolutionStream> stream(
+      new SolutionStream(std::move(*plan), a, options));
   stream->is_sentence_ = free.empty();
   FOCQ_RETURN_IF_ERROR(stream->executor_->MaterializeLayers());
   return stream;

@@ -29,7 +29,9 @@ namespace focq {
 class SolutionStream {
  public:
   /// Compiles and materialises; the structure is copied internally, so the
-  /// stream stays valid independently of the caller's data.
+  /// stream stays valid independently of the caller's data. The executor
+  /// runs with the options' term engine, thread count and sinks; installed
+  /// sinks must outlive the stream.
   static Result<std::unique_ptr<SolutionStream>> Open(
       const Formula& condition, const Structure& a,
       const EvalOptions& options = {});

@@ -19,37 +19,28 @@ PlanExecutor::PlanExecutor(const EvalPlan& plan, const Structure& input,
                          ? std::make_unique<EvalContext>(structure_)
                          : nullptr),
       context_(context != nullptr ? context : owned_context_.get()),
-      gaifman_(context_->Gaifman(MakeArtifactOptions())) {
+      gaifman_(context_->Gaifman(options_)) {
   RecordStructureBytes();
-}
-
-ArtifactOptions PlanExecutor::MakeArtifactOptions() const {
-  return {options_.num_threads, options_.metrics, options_.trace,
-          options_.explain, options_.progress};
 }
 
 void PlanExecutor::RecordStructureBytes() {
   // High-water footprint of the working copy: grows as marker layers expand
   // it, so it is recorded again after materialisation. Deterministic.
   std::int64_t bytes = structure_.ApproxBytes();
-  if (options_.metrics != nullptr) {
-    options_.metrics->MaxCounter("mem.structure.bytes", bytes);
-  }
-  if (options_.explain != nullptr) {
-    options_.explain->RecordBytes(node_ids_.root, bytes);
-  }
+  options_.Max("mem.structure.bytes", bytes);
+  options_.NodeBytes(node_ids_.root, bytes);
 }
 
 Result<const NeighborhoodCover*> PlanExecutor::CoverFor(std::uint32_t radius) {
   CoverBackend backend = options_.term_engine == TermEngine::kExactCover
                              ? CoverBackend::kExact
                              : CoverBackend::kSparse;
-  return context_->TryCover(radius, backend, MakeArtifactOptions());
+  return context_->TryCover(radius, backend, options_);
 }
 
 Result<std::vector<CountInt>> PlanExecutor::EvalClTermAll(const ClTerm& term,
                                                           int explain_node) {
-  ScopedNodeTimer timer(options_.explain, explain_node, options_.metrics);
+  Phase phase(options_, "", explain_node);
   if (options_.term_engine == TermEngine::kBall) {
     // Warm tables: an exact r-cover's clusters are the sorted r-balls, so
     // every radius the term reads balls at comes from the context, built
@@ -57,13 +48,12 @@ Result<std::vector<CountInt>> PlanExecutor::EvalClTermAll(const ClTerm& term,
     BallTables tables;
     for (std::uint32_t r : BallRadii(term)) {
       Result<const NeighborhoodCover*> cover =
-          context_->TryCover(r, CoverBackend::kExact, MakeArtifactOptions());
+          context_->TryCover(r, CoverBackend::kExact, options_);
       if (!cover.ok()) return cover.status();
       tables.emplace(r, &(*cover)->clusters);
     }
-    ScopedSpan span(options_.trace, "cl_term_eval");
-    ClTermBallEvaluator eval(structure_, gaifman_, options_.num_threads,
-                             options_.metrics, options_.progress, &tables);
+    Phase eval_phase(options_, "cl_term_eval");
+    ClTermBallEvaluator eval(structure_, gaifman_, options_, &tables);
     return eval.EvaluateAll(term);
   }
   // Cover engines: one cover per required radius; evaluate factor-wise and
@@ -74,15 +64,11 @@ Result<std::vector<CountInt>> PlanExecutor::EvalClTermAll(const ClTerm& term,
   factor_values.reserve(term.basics().size());
   for (const BasicClTerm& b : term.basics()) {
     std::uint32_t radius = RequiredCoverRadius(b);
-    if (options_.explain != nullptr) {
-      options_.explain->MaxCounter(explain_node, "cover.radius", radius);
-    }
+    options_.NodeMax(explain_node, "cover.radius", radius);
     Result<const NeighborhoodCover*> cover = CoverFor(radius);
     if (!cover.ok()) return cover.status();
-    ScopedSpan span(options_.trace, "cl_term_eval");
-    ClTermCoverEvaluator eval(structure_, gaifman_, **cover,
-                              options_.num_threads, options_.metrics,
-                              options_.progress);
+    Phase eval_phase(options_, "cl_term_eval");
+    ClTermCoverEvaluator eval(structure_, gaifman_, **cover, options_);
     if (b.unary) {
       Result<std::vector<CountInt>> v = eval.EvaluateBasicAll(b);
       if (!v.ok()) return v.status();
@@ -98,35 +84,25 @@ Result<std::vector<CountInt>> PlanExecutor::EvalClTermAll(const ClTerm& term,
 
 Status PlanExecutor::MaterializeLayers() {
   FOCQ_CHECK(!materialized_);
-  ScopedNodeTimer plan_timer(options_.explain, node_ids_.root,
-                             options_.metrics);
-  ScopedSpan materialize_span(options_.trace, "materialize_layers");
+  Phase plan_phase(options_, "materialize_layers", node_ids_.root);
   std::size_t layer_index = 0;
   for (const auto& layer : plan_.layers) {
     std::size_t l = layer_index++;
-    ScopedNodeTimer layer_timer(options_.explain, node_ids_.layers[l],
-                                options_.metrics);
-    ScopedSpan layer_span(options_.trace, "layer_" + std::to_string(l));
+    Phase layer_phase(options_, "layer_" + std::to_string(l),
+                      node_ids_.layers[l]);
     std::size_t relation_index = 0;
     for (const LayerRelationDef& def : layer) {
       std::size_t r = relation_index++;
-      ScopedNodeTimer relation_timer(options_.explain,
-                                     node_ids_.relations[l][r],
-                                     options_.metrics);
-      if (options_.metrics != nullptr) {
-        options_.metrics->AddCounter("materialize.marker_relations", 1);
-        if (def.fallback) {
-          options_.metrics->AddCounter("materialize.fallback_relations", 1);
-          // Every element is checked exactly once (arity 0: one sentence
-          // check), so the tally is thread-count independent.
-          options_.metrics->AddCounter(
-              "materialize.fallback_checks",
-              def.arity == 0
-                  ? 1
-                  : static_cast<std::int64_t>(structure_.universe_size()));
-        }
-      }
+      Phase relation_phase(options_, "", node_ids_.relations[l][r]);
+      options_.Count("materialize.marker_relations", 1);
       if (def.fallback) {
+        options_.Count("materialize.fallback_relations", 1);
+        // Every element is checked exactly once (arity 0: one sentence
+        // check), so the tally is thread-count independent.
+        options_.Count("materialize.fallback_checks",
+                       def.arity == 0 ? 1
+                                      : static_cast<std::int64_t>(
+                                            structure_.universe_size()));
         // Direct evaluation of the original P(t-bar) subformula over the
         // current expansion (whose earlier markers it may mention).
         if (def.arity == 0) {
@@ -141,18 +117,15 @@ Status PlanExecutor::MaterializeLayers() {
           const int workers = EffectiveThreads(options_.num_threads);
           const std::size_t num_chunks = MakeChunkGrid(n, workers).num_chunks;
           std::vector<std::vector<ElemId>> chunk_elements(num_chunks);
-          ProgressSink* progress = options_.progress;
-          if (progress != nullptr) {
-            progress->AddTotal(ProgressPhase::kMaterialize,
-                               static_cast<std::int64_t>(n));
-          }
+          options_.AddTotal(ProgressPhase::kMaterialize,
+                            static_cast<std::int64_t>(n));
           ParallelFor(workers, n,
                       [&](std::size_t chunk, std::size_t begin,
                           std::size_t end) {
                         LocalEvaluator chunk_eval(structure_, gaifman_);
                         Env env;
                         for (std::size_t a = begin; a < end; ++a) {
-                          if (progress != nullptr && progress->ShouldStop()) {
+                          if (options_.ShouldStop()) {
                             return;  // hard deadline: drain remaining chunks
                           }
                           env.Bind(def.free_var, static_cast<ElemId>(a));
@@ -161,14 +134,10 @@ Status PlanExecutor::MaterializeLayers() {
                             chunk_elements[chunk].push_back(
                                 static_cast<ElemId>(a));
                           }
-                          if (progress != nullptr) {
-                            progress->Advance(ProgressPhase::kMaterialize, 1);
-                          }
+                          options_.Advance(ProgressPhase::kMaterialize, 1);
                         }
                       });
-          if (progress != nullptr && progress->cancelled()) {
-            return progress->DeadlineStatus();
-          }
+          if (options_.Cancelled()) return options_.DeadlineStatus();
           std::vector<ElemId> elements;
           for (const auto& part : chunk_elements) {
             elements.insert(elements.end(), part.begin(), part.end());
@@ -217,14 +186,9 @@ Status PlanExecutor::MaterializeLayers() {
 Result<bool> PlanExecutor::CheckSentence() {
   FOCQ_CHECK(materialized_ && !plan_.is_term);
   FOCQ_CHECK(FreeVars(plan_.final_formula).empty());
-  ScopedNodeTimer plan_timer(options_.explain, node_ids_.root,
-                             options_.metrics);
-  ScopedNodeTimer timer(options_.explain, node_ids_.residual,
-                        options_.metrics);
-  ScopedSpan span(options_.trace, "residual_eval");
-  if (options_.metrics != nullptr) {
-    options_.metrics->AddCounter("residual.elements_checked", 1);
-  }
+  Phase plan_phase(options_, "", node_ids_.root);
+  Phase phase(options_, "residual_eval", node_ids_.residual);
+  options_.Count("residual.elements_checked", 1);
   return final_eval_->Satisfies(plan_.final_formula);
 }
 
@@ -232,14 +196,9 @@ Result<bool> PlanExecutor::CheckAt(ElemId a) {
   FOCQ_CHECK(materialized_ && !plan_.is_term);
   std::vector<Var> free = FreeVars(plan_.final_formula);
   FOCQ_CHECK_LE(free.size(), 1u);
-  ScopedNodeTimer plan_timer(options_.explain, node_ids_.root,
-                             options_.metrics);
-  ScopedNodeTimer timer(options_.explain, node_ids_.residual,
-                        options_.metrics);
-  ScopedSpan span(options_.trace, "residual_eval");
-  if (options_.metrics != nullptr) {
-    options_.metrics->AddCounter("residual.elements_checked", 1);
-  }
+  Phase plan_phase(options_, "", node_ids_.root);
+  Phase phase(options_, "residual_eval", node_ids_.residual);
+  options_.Count("residual.elements_checked", 1);
   Env env;
   if (!free.empty()) env.Bind(free[0], a);
   return final_eval_->Satisfies(plan_.final_formula, &env);
@@ -247,30 +206,21 @@ Result<bool> PlanExecutor::CheckAt(ElemId a) {
 
 Result<std::vector<bool>> PlanExecutor::CheckAll() {
   FOCQ_CHECK(materialized_ && !plan_.is_term);
-  ScopedNodeTimer plan_timer(options_.explain, node_ids_.root,
-                             options_.metrics);
-  ScopedNodeTimer timer(options_.explain, node_ids_.residual,
-                        options_.metrics);
-  ScopedSpan span(options_.trace, "residual_eval");
+  Phase plan_phase(options_, "", node_ids_.root);
+  Phase phase(options_, "residual_eval", node_ids_.residual);
   const std::size_t n = structure_.universe_size();
-  if (options_.metrics != nullptr) {
-    options_.metrics->AddCounter("residual.elements_checked",
-                                 static_cast<std::int64_t>(n));
-  }
+  options_.Count("residual.elements_checked", static_cast<std::int64_t>(n));
   std::vector<Var> free = FreeVars(plan_.final_formula);
   FOCQ_CHECK_LE(free.size(), 1u);
   // std::vector<bool> packs bits, so concurrent writes to distinct indices
   // race; collect into bytes and convert after the join.
   std::vector<std::uint8_t> buffer(n, 0);
-  ProgressSink* progress = options_.progress;
-  if (progress != nullptr) {
-    progress->AddTotal(ProgressPhase::kResidual, static_cast<std::int64_t>(n));
-  }
+  options_.AddTotal(ProgressPhase::kResidual, static_cast<std::int64_t>(n));
   ParallelFor(options_.num_threads, n,
               [&](std::size_t /*chunk*/, std::size_t begin, std::size_t end) {
                 LocalEvaluator chunk_eval(structure_, gaifman_);
                 for (std::size_t a = begin; a < end; ++a) {
-                  if (progress != nullptr && progress->ShouldStop()) return;
+                  if (options_.ShouldStop()) return;
                   Env env;
                   if (!free.empty()) {
                     env.Bind(free[0], static_cast<ElemId>(a));
@@ -278,14 +228,10 @@ Result<std::vector<bool>> PlanExecutor::CheckAll() {
                   buffer[a] = chunk_eval.Satisfies(plan_.final_formula, &env)
                                   ? 1
                                   : 0;
-                  if (progress != nullptr) {
-                    progress->Advance(ProgressPhase::kResidual, 1);
-                  }
+                  options_.Advance(ProgressPhase::kResidual, 1);
                 }
               });
-  if (progress != nullptr && progress->cancelled()) {
-    return progress->DeadlineStatus();
-  }
+  if (options_.Cancelled()) return options_.DeadlineStatus();
   std::vector<bool> out(n, false);
   for (std::size_t a = 0; a < n; ++a) out[a] = buffer[a] != 0;
   return out;
@@ -293,8 +239,7 @@ Result<std::vector<bool>> PlanExecutor::CheckAll() {
 
 Result<CountInt> PlanExecutor::TermValue() {
   FOCQ_CHECK(materialized_ && plan_.is_term);
-  ScopedNodeTimer plan_timer(options_.explain, node_ids_.root,
-                             options_.metrics);
+  Phase plan_phase(options_, "", node_ids_.root);
   if (plan_.final_term_decomposed) {
     FOCQ_CHECK(!plan_.final_cl_term_unary);
     Result<std::vector<CountInt>> v =
@@ -302,19 +247,14 @@ Result<CountInt> PlanExecutor::TermValue() {
     if (!v.ok()) return v.status();
     return (*v)[0];
   }
-  ScopedNodeTimer timer(options_.explain, node_ids_.residual,
-                        options_.metrics);
-  ScopedSpan span(options_.trace, "residual_eval");
-  if (options_.metrics != nullptr) {
-    options_.metrics->AddCounter("residual.elements_checked", 1);
-  }
+  Phase phase(options_, "residual_eval", node_ids_.residual);
+  options_.Count("residual.elements_checked", 1);
   return final_eval_->Evaluate(plan_.final_term_residual);
 }
 
 Result<std::vector<CountInt>> PlanExecutor::TermValues() {
   FOCQ_CHECK(materialized_ && plan_.is_term);
-  ScopedNodeTimer plan_timer(options_.explain, node_ids_.root,
-                             options_.metrics);
+  Phase plan_phase(options_, "", node_ids_.root);
   if (plan_.final_term_decomposed) {
     Result<std::vector<CountInt>> v =
         EvalClTermAll(plan_.final_cl_term, node_ids_.residual);
@@ -325,27 +265,19 @@ Result<std::vector<CountInt>> PlanExecutor::TermValues() {
     }
     return v;
   }
-  ScopedNodeTimer timer(options_.explain, node_ids_.residual,
-                        options_.metrics);
-  ScopedSpan span(options_.trace, "residual_eval");
+  Phase phase(options_, "residual_eval", node_ids_.residual);
   const std::size_t n = structure_.universe_size();
-  if (options_.metrics != nullptr) {
-    options_.metrics->AddCounter("residual.elements_checked",
-                                 static_cast<std::int64_t>(n));
-  }
+  options_.Count("residual.elements_checked", static_cast<std::int64_t>(n));
   std::vector<CountInt> out(n, 0);
   const int workers = EffectiveThreads(options_.num_threads);
   const std::size_t num_chunks = MakeChunkGrid(n, workers).num_chunks;
   std::vector<Status> chunk_status(num_chunks, Status::Ok());
-  ProgressSink* progress = options_.progress;
-  if (progress != nullptr) {
-    progress->AddTotal(ProgressPhase::kResidual, static_cast<std::int64_t>(n));
-  }
+  options_.AddTotal(ProgressPhase::kResidual, static_cast<std::int64_t>(n));
   ParallelFor(workers, n,
               [&](std::size_t chunk, std::size_t begin, std::size_t end) {
                 LocalEvaluator chunk_eval(structure_, gaifman_);
                 for (std::size_t a = begin; a < end; ++a) {
-                  if (progress != nullptr && progress->ShouldStop()) return;
+                  if (options_.ShouldStop()) return;
                   Env env;
                   env.Bind(plan_.final_free_var, static_cast<ElemId>(a));
                   Result<CountInt> v =
@@ -355,14 +287,10 @@ Result<std::vector<CountInt>> PlanExecutor::TermValues() {
                     return;
                   }
                   out[a] = *v;
-                  if (progress != nullptr) {
-                    progress->Advance(ProgressPhase::kResidual, 1);
-                  }
+                  options_.Advance(ProgressPhase::kResidual, 1);
                 }
               });
-  if (progress != nullptr && progress->cancelled()) {
-    return progress->DeadlineStatus();
-  }
+  if (options_.Cancelled()) return options_.DeadlineStatus();
   for (const Status& s : chunk_status) {
     if (!s.ok()) return s;
   }

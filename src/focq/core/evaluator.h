@@ -13,9 +13,7 @@
 #include "focq/cover/cover_term.h"
 #include "focq/cover/neighborhood_cover.h"
 #include "focq/locality/local_eval.h"
-#include "focq/obs/metrics.h"
-#include "focq/obs/progress.h"
-#include "focq/obs/trace.h"
+#include "focq/obs/instruments.h"
 
 namespace focq {
 
@@ -26,32 +24,10 @@ enum class TermEngine {
   kExactCover,   // same, over the exact-ball cover (ablation baseline)
 };
 
-struct ExecOptions {
+/// The instrumentation handle (focq/obs/instruments.h) plus the cl-term
+/// engine: everything one plan execution needs besides the plan.
+struct ExecOptions : Instruments {
   TermEngine term_engine = TermEngine::kBall;
-  // Worker threads for cover construction, cl-term evaluation and the
-  // residual per-element loops (0 = all hardware threads, 1 = serial).
-  // Results are bit-identical for every value (see DESIGN.md, "Concurrency
-  // model").
-  int num_threads = 1;
-  // Optional observability sinks (not owned; may be null). Installing them
-  // never changes results: counters for deterministic quantities are
-  // identical for every num_threads; spans record wall time only.
-  MetricsSink* metrics = nullptr;
-  TraceSink* trace = nullptr;
-  // EXPLAIN / EXPLAIN ANALYZE: with `explain` installed the executor
-  // registers the compiled plan as a PlanNode subtree under `explain_parent`
-  // (-1: a new root) and attributes per-node durations, counters and memory
-  // high-water marks. Per-node *counter* attribution additionally needs
-  // `metrics` installed (deltas of the flat sink are charged to nodes).
-  ExplainSink* explain = nullptr;
-  int explain_parent = -1;
-  // Progress + cooperative cancellation (not owned; may be null): the
-  // executor advances per-phase counters at chunk boundaries and polls
-  // ShouldStop() there; once the hard deadline fires, the current fan-out
-  // drains its remaining chunks as no-ops and the executor returns
-  // kDeadlineExceeded instead of a result. With no armed deadline the sink
-  // is pure telemetry and never changes results.
-  ProgressSink* progress = nullptr;
 };
 
 /// Executes one plan against one structure.
@@ -95,7 +71,6 @@ class PlanExecutor {
   /// Fails with kDeadlineExceeded when the hard deadline fires during the
   /// build (the partial artifact is discarded, never cached).
   Result<const NeighborhoodCover*> CoverFor(std::uint32_t radius);
-  ArtifactOptions MakeArtifactOptions() const;
   void RecordStructureBytes();
 
   const EvalPlan& plan_;

@@ -23,30 +23,25 @@
 
 namespace focq {
 
-struct RemovalEngineOptions {
+/// The instrumentation handle plus the recursion knobs. The thread count
+/// drives the per-level SparseCover builds (a pure speed knob: results and
+/// removal.* counters are bit-identical for every value); metrics receives
+/// the removal.* counters (surgeries, cover builds, recursion depth
+/// high-water mark) and the per-level cover.* build counters; progress
+/// advances the kRemoval phase per visited cluster and polls the deadline
+/// there, a hard expiry surfacing as kDeadlineExceeded.
+struct RemovalEngineOptions : Instruments {
   /// Clusters and recursion arenas at most this large are evaluated
   /// directly.
   std::size_t base_size = 24;
   /// Hard recursion cap (the empirical lambda(2kr) stand-in); deeper arenas
   /// fall back to direct evaluation. Exactness is unaffected.
   std::uint32_t max_depth = 6;
-  /// Worker threads for the per-level SparseCover builds (0 = all hardware
-  /// threads, 1 = serial). A pure speed knob: results and removal.*
-  /// counters are bit-identical for every value.
-  int num_threads = 1;
-  /// Optional sink for removal.* counters (surgeries performed, cover
-  /// builds, recursion depth high-water mark); also forwarded into the
-  /// per-level SparseCover builds. Not owned; may be null.
-  MetricsSink* metrics = nullptr;
   /// Optional shared artifact cache (not owned; may be null). Used only for
   /// the top-level arena — recursion levels run on derived substructures the
   /// context does not cache — and only when it caches artifacts of the
   /// evaluated structure.
   EvalContext* context = nullptr;
-  /// Progress + cooperative cancellation (not owned; may be null): the
-  /// recursion advances the kRemoval phase per visited cluster and polls the
-  /// deadline there; a hard expiry surfaces as kDeadlineExceeded.
-  ProgressSink* progress = nullptr;
 };
 
 /// Values of the unary basic cl-term at every element of `a` via the

@@ -3,17 +3,23 @@
 #include "focq/util/checked_arith.h"
 
 namespace focq {
+namespace {
+
+Instruments WithoutMetrics(Instruments in) {
+  in.metrics = nullptr;
+  return in;
+}
+
+}  // namespace
 
 ClTermCoverEvaluator::ClTermCoverEvaluator(const Structure& structure,
                                            const Graph& gaifman,
                                            const NeighborhoodCover& cover,
-                                           int num_threads,
-                                           MetricsSink* metrics,
-                                           ProgressSink* progress)
+                                           const Instruments& in)
     : structure_(structure),
       cover_(cover),
-      metrics_(metrics),
-      ball_(structure, gaifman, num_threads, /*metrics=*/nullptr, progress) {
+      in_(in),
+      ball_(structure, gaifman, WithoutMetrics(in)) {
   FOCQ_CHECK_EQ(gaifman.num_vertices(), structure.universe_size());
   FOCQ_CHECK_EQ(cover.assignment.size(), structure.universe_size());
   anchors_of_cluster_.resize(cover.NumClusters());
@@ -35,18 +41,14 @@ Result<std::vector<CountInt>> ClTermCoverEvaluator::EvaluateBasicAll(
   Result<std::vector<CountInt>> out = ball_.EvaluateBasicInClusters(
       basic, cover_.clusters, anchors_of_cluster_);
   if (!out.ok()) return out.status();
-  if (metrics_ != nullptr) {
-    const ClTermBallEvaluator::ExploreStats& after = ball_.explore_stats();
-    metrics_->AddCounter("cover_eval.basics_evaluated", 1);
-    metrics_->AddCounter("cover_eval.clusters_materialized",
-                         clusters_evaluated_);
-    metrics_->AddCounter("cover_eval.cluster_elements", cluster_elements_);
-    metrics_->AddCounter("clterm.anchors_evaluated",
-                         after.anchors - before.anchors);
-    metrics_->AddCounter("clterm.balls_fetched", after.balls - before.balls);
-    metrics_->AddCounter("clterm.placements_checked",
-                         after.placements - before.placements);
-  }
+  const ClTermBallEvaluator::ExploreStats& after = ball_.explore_stats();
+  in_.Count("cover_eval.basics_evaluated", 1);
+  in_.Count("cover_eval.clusters_materialized", clusters_evaluated_);
+  in_.Count("cover_eval.cluster_elements", cluster_elements_);
+  in_.Count("clterm.anchors_evaluated", after.anchors - before.anchors);
+  in_.Count("clterm.balls_fetched", after.balls - before.balls);
+  in_.Count("clterm.placements_checked",
+            after.placements - before.placements);
   return out;
 }
 

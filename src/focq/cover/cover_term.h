@@ -45,18 +45,16 @@ namespace focq {
 class ClTermCoverEvaluator {
  public:
   /// `gaifman` must be the Gaifman graph of `structure`; `cover` a
-  /// neighbourhood cover of it. All three must outlive the evaluator.
-  /// `num_threads`: per-cluster fan-out (0 = all hardware threads). With
-  /// `metrics` installed, per-basic evaluations flush cover_eval.* and
-  /// clterm.* counters (clusters evaluated, still named
-  /// cover_eval.clusters_materialized, their elements, anchors, balls,
-  /// placements). With `progress` installed, EvaluateBasicAll advances the
-  /// kClTerm phase per cluster and polls the deadline; a hard expiry makes
-  /// it return kDeadlineExceeded.
+  /// neighbourhood cover of it. All three must outlive the evaluator. The
+  /// handle's thread count is the per-cluster fan-out. Per-basic
+  /// evaluations flush cover_eval.* and clterm.* counters to its metrics
+  /// sink (clusters evaluated, still named cover_eval.clusters_materialized,
+  /// their elements, anchors, balls, placements). EvaluateBasicAll advances
+  /// the kClTerm phase per cluster and polls the deadline; a hard expiry
+  /// makes it return kDeadlineExceeded.
   ClTermCoverEvaluator(const Structure& structure, const Graph& gaifman,
-                       const NeighborhoodCover& cover, int num_threads = 1,
-                       MetricsSink* metrics = nullptr,
-                       ProgressSink* progress = nullptr);
+                       const NeighborhoodCover& cover,
+                       const Instruments& in = {});
 
   /// Values of a unary basic cl-term at every element. The cover's radius
   /// must be at least RequiredCoverRadius(basic).
@@ -72,7 +70,7 @@ class ClTermCoverEvaluator {
  private:
   const Structure& structure_;
   const NeighborhoodCover& cover_;
-  MetricsSink* metrics_;
+  Instruments in_;
   // Counts every cluster's anchors in place; it flushes no metrics of its
   // own (this evaluator flushes the cover_eval.* and clterm.* counters).
   ClTermBallEvaluator ball_;

@@ -18,15 +18,14 @@ namespace {
 // sink operations, so an ExactBallCover build (one cluster per vertex) costs
 // a constant number of lock/map touches instead of n. MergeValue reproduces
 // the exact stats a per-cluster RecordValue loop would have produced.
-void RecordCoverMetrics(const NeighborhoodCover& cover, MetricsSink* metrics) {
-  if (metrics == nullptr) return;
-  metrics->AddCounter("cover.builds", 1);
-  metrics->AddCounter("cover.clusters",
-                      static_cast<std::int64_t>(cover.NumClusters()));
-  metrics->AddCounter("cover.total_cluster_size",
-                      static_cast<std::int64_t>(cover.TotalClusterSize()));
-  metrics->MaxCounter("cover.max_degree",
-                      static_cast<std::int64_t>(cover.MaxDegree()));
+void RecordCoverMetrics(const NeighborhoodCover& cover, const Instruments& in) {
+  // Skips the O(total cluster size) shape walk when nothing records it.
+  if (in.metrics == nullptr) return;
+  in.Count("cover.builds", 1);
+  in.Count("cover.clusters", static_cast<std::int64_t>(cover.NumClusters()));
+  in.Count("cover.total_cluster_size",
+           static_cast<std::int64_t>(cover.TotalClusterSize()));
+  in.Max("cover.max_degree", static_cast<std::int64_t>(cover.MaxDegree()));
   ValueStats sizes;
   constexpr std::size_t kNumBuckets = 64;  // log2 buckets cover all of int64
   std::int64_t buckets[kNumBuckets] = {};
@@ -37,14 +36,12 @@ void RecordCoverMetrics(const NeighborhoodCover& cover, MetricsSink* metrics) {
     while ((std::int64_t{1} << b) < size && b + 1 < kNumBuckets) ++b;
     ++buckets[b];  // bucket b counts clusters of size in (2^(b-1), 2^b]
   }
-  metrics->MergeValue("cover.cluster_size", sizes);
+  in.Merge("cover.cluster_size", sizes);
   for (std::size_t b = 0; b < kNumBuckets; ++b) {
     if (buckets[b] == 0) continue;
-    metrics->AddCounter("cover.cluster_size_log2_" + std::to_string(b),
-                        buckets[b]);
+    in.Count("cover.cluster_size_log2_" + std::to_string(b), buckets[b]);
   }
-  metrics->MaxCounter("cover.max_cluster_size",
-                      sizes.count == 0 ? 0 : sizes.max);
+  in.Max("cover.max_cluster_size", sizes.count == 0 ? 0 : sizes.max);
 }
 
 }  // namespace
@@ -74,8 +71,7 @@ std::int64_t NeighborhoodCover::ApproxBytes() const {
 }
 
 NeighborhoodCover ExactBallCover(const Graph& gaifman, std::uint32_t r,
-                                 int num_threads, MetricsSink* metrics,
-                                 ProgressSink* progress) {
+                                 const Instruments& in) {
   NeighborhoodCover cover;
   cover.r = r;
   cover.cluster_radius = r;
@@ -83,21 +79,19 @@ NeighborhoodCover ExactBallCover(const Graph& gaifman, std::uint32_t r,
   cover.clusters.resize(n);
   cover.assignment.resize(n);
   cover.centers.resize(n);
-  if (progress != nullptr) {
-    progress->AddTotal(ProgressPhase::kCover, static_cast<std::int64_t>(n));
-  }
+  in.AddTotal(ProgressPhase::kCover, static_cast<std::int64_t>(n));
   // Cluster c is always the r-ball of vertex c, so every slot is independent
   // of every other: chunks write disjoint ranges and the result is the same
   // for any thread count. BFS work is tallied per chunk and flushed after
   // the join (the ShardedCounter protocol).
-  ShardedCounter bfs_vertices(MakeChunkGrid(n, num_threads).num_chunks);
-  ParallelFor(num_threads, n,
+  ShardedCounter bfs_vertices(MakeChunkGrid(n, in.num_threads).num_chunks);
+  ParallelFor(in.num_threads, n,
               [&](std::size_t chunk, std::size_t begin, std::size_t end) {
                 BallExplorer explorer(gaifman);
                 for (std::size_t v = begin; v < end; ++v) {
                   // Cooperative cancellation: once the hard deadline fires,
                   // every remaining ball drains as a no-op.
-                  if (progress != nullptr && progress->ShouldStop()) return;
+                  if (in.ShouldStop()) return;
                   std::vector<ElemId> ball =
                       explorer.Explore(static_cast<VertexId>(v), r);
                   std::sort(ball.begin(), ball.end());
@@ -106,28 +100,23 @@ NeighborhoodCover ExactBallCover(const Graph& gaifman, std::uint32_t r,
                   cover.assignment[v] = static_cast<std::uint32_t>(v);
                   cover.clusters[v] = std::move(ball);
                   cover.centers[v] = static_cast<ElemId>(v);
-                  if (progress != nullptr) {
-                    progress->Advance(ProgressPhase::kCover, 1);
-                  }
+                  in.Advance(ProgressPhase::kCover, 1);
                 }
               });
-  if (progress != nullptr && progress->cancelled()) return cover;  // partial
-  bfs_vertices.FlushTo(metrics, "cover.bfs_vertices");
-  RecordCoverMetrics(cover, metrics);
+  if (in.Cancelled()) return cover;  // partial
+  in.Count("cover.bfs_vertices", bfs_vertices.Total());
+  RecordCoverMetrics(cover, in);
   return cover;
 }
 
 NeighborhoodCover SparseCover(const Graph& gaifman, std::uint32_t r,
-                              int num_threads, MetricsSink* metrics,
-                              ProgressSink* progress) {
+                              const Instruments& in) {
   NeighborhoodCover cover;
   cover.r = r;
   cover.cluster_radius = SaturatedRadius(2 * std::uint64_t{r});
   std::size_t n = gaifman.num_vertices();
   cover.assignment.assign(n, 0);
-  if (progress != nullptr) {
-    progress->AddTotal(ProgressPhase::kCover, static_cast<std::int64_t>(n));
-  }
+  in.AddTotal(ProgressPhase::kCover, static_cast<std::int64_t>(n));
 
   // Pass 1: greedy centres. covering_center[v] = the centre within distance r
   // that claimed v first, or kUnclaimed.
@@ -136,10 +125,8 @@ NeighborhoodCover SparseCover(const Graph& gaifman, std::uint32_t r,
   std::int64_t greedy_bfs_vertices = 0;
   BallExplorer explorer(gaifman);
   for (VertexId v = 0; v < n; ++v) {
-    if (progress != nullptr) {
-      if (progress->ShouldStop()) return cover;  // partial, caller discards
-      progress->Advance(ProgressPhase::kCover, 1);
-    }
+    if (in.ShouldStop()) return cover;  // partial, caller discards
+    in.Advance(ProgressPhase::kCover, 1);
     if (covering_center[v] != kUnclaimed) continue;
     std::uint32_t center_index = static_cast<std::uint32_t>(cover.centers.size());
     cover.centers.push_back(v);
@@ -155,17 +142,15 @@ NeighborhoodCover SparseCover(const Graph& gaifman, std::uint32_t r,
   // whole r-ball (dist(v, centre) <= r). Each cluster slot is independent,
   // so the (dominant) ball materialisation fans out across threads.
   cover.clusters.resize(cover.centers.size());
-  if (progress != nullptr) {
-    progress->AddTotal(ProgressPhase::kCover,
-                       static_cast<std::int64_t>(cover.centers.size()));
-  }
+  in.AddTotal(ProgressPhase::kCover,
+              static_cast<std::int64_t>(cover.centers.size()));
   ShardedCounter bfs_vertices(
-      MakeChunkGrid(cover.centers.size(), num_threads).num_chunks);
-  ParallelFor(num_threads, cover.centers.size(),
+      MakeChunkGrid(cover.centers.size(), in.num_threads).num_chunks);
+  ParallelFor(in.num_threads, cover.centers.size(),
               [&](std::size_t chunk, std::size_t begin, std::size_t end) {
                 BallExplorer chunk_explorer(gaifman);
                 for (std::size_t c = begin; c < end; ++c) {
-                  if (progress != nullptr && progress->ShouldStop()) return;
+                  if (in.ShouldStop()) return;
                   std::vector<ElemId> ball =
                       chunk_explorer.Explore(cover.centers[c],
                                              cover.cluster_radius);
@@ -173,21 +158,16 @@ NeighborhoodCover SparseCover(const Graph& gaifman, std::uint32_t r,
                   bfs_vertices.Add(chunk,
                                    static_cast<std::int64_t>(ball.size()));
                   cover.clusters[c] = std::move(ball);
-                  if (progress != nullptr) {
-                    progress->Advance(ProgressPhase::kCover, 1);
-                  }
+                  in.Advance(ProgressPhase::kCover, 1);
                 }
               });
-  if (progress != nullptr && progress->cancelled()) return cover;  // partial
+  if (in.Cancelled()) return cover;  // partial
   for (VertexId v = 0; v < n; ++v) {
     FOCQ_CHECK_NE(covering_center[v], kUnclaimed);
     cover.assignment[v] = covering_center[v];
   }
-  if (metrics != nullptr) {
-    metrics->AddCounter("cover.bfs_vertices",
-                        greedy_bfs_vertices + bfs_vertices.Total());
-  }
-  RecordCoverMetrics(cover, metrics);
+  in.Count("cover.bfs_vertices", greedy_bfs_vertices + bfs_vertices.Total());
+  RecordCoverMetrics(cover, in);
   return cover;
 }
 

@@ -57,7 +57,7 @@ bool NaiveEvaluator::EvalFormula(const Expr& e, Env* env) {
       ElemId old = was_bound ? env->Get(y) : 0;
       bool found = false;
       for (ElemId a = 0; a < structure_.universe_size() && !found; ++a) {
-        if (progress_ != nullptr && progress_->ShouldStop()) {
+        if (in_.ShouldStop()) {
           stopped_ = true;
           break;
         }
@@ -79,7 +79,7 @@ bool NaiveEvaluator::EvalFormula(const Expr& e, Env* env) {
       ElemId old = was_bound ? env->Get(y) : 0;
       bool all = true;
       for (ElemId a = 0; a < structure_.universe_size() && all; ++a) {
-        if (progress_ != nullptr && progress_->ShouldStop()) {
+        if (in_.ShouldStop()) {
           stopped_ = true;
           break;
         }
@@ -175,33 +175,24 @@ std::optional<CountInt> NaiveEvaluator::EvalTerm(const Expr& e, Env* env) {
       std::size_t n = structure_.universe_size();
       // Pre-announce the odometer's n^k candidate tuples (skipped when the
       // count itself overflows int64 — progress is observability only).
-      if (progress_ != nullptr) {
-        CountInt work = 1;
-        bool fits = true;
-        for (std::size_t i = 0; i < k && fits; ++i) {
-          std::optional<CountInt> m =
-              CheckedMul(work, static_cast<CountInt>(n));
-          fits = m.has_value();
-          if (fits) work = *m;
-        }
-        if (fits) progress_->AddTotal(ProgressPhase::kNaive, work);
+      if (std::optional<CountInt> work =
+              CheckedPow(static_cast<CountInt>(n), static_cast<int>(k))) {
+        in_.AddTotal(ProgressPhase::kNaive, *work);
       }
       if (k == 0) {
         ++tuples_enumerated_;
         count = EvalFormula(*e.children[0], env) ? 1 : 0;
-        if (progress_ != nullptr) progress_->Advance(ProgressPhase::kNaive, 1);
+        in_.Advance(ProgressPhase::kNaive, 1);
       } else if (n > 0) {
         for (std::size_t i = 0; i < k; ++i) env->Bind(ys[i], 0);
         for (;;) {
-          if (progress_ != nullptr && progress_->ShouldStop()) {
+          if (in_.ShouldStop()) {
             stopped_ = true;
             ok = false;
             break;
           }
           ++tuples_enumerated_;
-          if (progress_ != nullptr) {
-            progress_->Advance(ProgressPhase::kNaive, 1);
-          }
+          in_.Advance(ProgressPhase::kNaive, 1);
           if (EvalFormula(*e.children[0], env)) {
             std::optional<CountInt> next = CheckedAdd(count, 1);
             if (!next) {
@@ -263,7 +254,7 @@ bool NaiveEvaluator::Satisfies(
 Result<CountInt> NaiveEvaluator::Evaluate(const Term& t, Env* env) {
   stopped_ = false;
   std::optional<CountInt> v = EvalTerm(t.node(), env);
-  if (stopped_) return progress_->DeadlineStatus();
+  if (stopped_) return in_.DeadlineStatus();
   if (!v) return Status::OutOfRange("counting-term value overflows int64");
   return *v;
 }
@@ -311,9 +302,9 @@ Result<CountInt> NaiveEvaluator::CountSolutions(const Formula& f,
                 NaiveEvaluator worker(structure_);
                 // Workers share the sink: their odometers advance kNaive and
                 // poll the deadline, so granularity matches the serial path.
-                worker.set_progress(progress_);
+                worker.set_progress(in_);
                 for (std::size_t a = begin; a < end; ++a) {
-                  if (progress_ != nullptr && progress_->ShouldStop()) return;
+                  if (in_.ShouldStop()) return;
                   Env env;
                   env.Bind(free[0], static_cast<ElemId>(a));
                   Result<CountInt> v = worker.Evaluate(rest_counter, &env);
@@ -335,9 +326,7 @@ Result<CountInt> NaiveEvaluator::CountSolutions(const Formula& f,
   // exactly the serial odometer's n^k iterations: no extra term for the
   // fan-out binding itself.
   tuples_enumerated_ += enumerated.Total();
-  if (progress_ != nullptr && progress_->cancelled()) {
-    return progress_->DeadlineStatus();
-  }
+  if (in_.Cancelled()) return in_.DeadlineStatus();
   CountInt total = 0;
   for (std::size_t c = 0; c < num_chunks; ++c) {
     if (!chunk_status[c].ok()) return chunk_status[c];

@@ -14,7 +14,7 @@
 
 #include "focq/graph/bfs.h"
 #include "focq/logic/expr.h"
-#include "focq/obs/progress.h"
+#include "focq/obs/instruments.h"
 #include "focq/structure/gaifman.h"
 #include "focq/structure/structure.h"
 #include "focq/util/status.h"
@@ -93,12 +93,13 @@ class NaiveEvaluator {
   /// back in, so the total is identical for every thread count.
   std::int64_t tuples_enumerated() const { return tuples_enumerated_; }
 
-  /// Installs a progress/cancellation sink (not owned; may be null). The
-  /// counting odometer and the quantifier loops advance the kNaive phase
-  /// and poll the deadline; a hard expiry drains them and makes Evaluate /
-  /// CountSolutions return kDeadlineExceeded. After a Satisfies call the
-  /// caller must consult stopped() — the bool has no error channel.
-  void set_progress(ProgressSink* progress) { progress_ = progress; }
+  /// Installs the progress/cancellation sink of `in` (the other sinks are
+  /// unused: the work tally is read off tuples_enumerated()). The counting
+  /// odometer and the quantifier loops advance the kNaive phase and poll the
+  /// deadline; a hard expiry drains them and makes Evaluate / CountSolutions
+  /// return kDeadlineExceeded. After a Satisfies call the caller must
+  /// consult stopped() — the bool has no error channel.
+  void set_progress(const Instruments& in) { in_ = in; }
 
   /// True when the last Satisfies/Evaluate drained on a hard deadline (its
   /// return value is then meaningless and must be discarded).
@@ -117,7 +118,7 @@ class NaiveEvaluator {
   std::unique_ptr<BallExplorer> explorer_;
   bool overflow_ = false;
   bool stopped_ = false;
-  ProgressSink* progress_ = nullptr;
+  Instruments in_;
   std::int64_t tuples_enumerated_ = 0;
   Tuple scratch_tuple_;
   std::vector<CountInt> scratch_args_;

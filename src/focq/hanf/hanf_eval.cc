@@ -8,28 +8,21 @@
 namespace focq {
 
 HanfEvaluator::HanfEvaluator(const Structure& a, const Graph& gaifman,
-                             int num_threads, MetricsSink* metrics,
-                             ProgressSink* progress)
-    : a_(a),
-      gaifman_(gaifman),
-      num_threads_(EffectiveThreads(num_threads)),
-      metrics_(metrics),
-      progress_(progress) {
+                             const Instruments& in)
+    : a_(a), gaifman_(gaifman), in_(in) {
   FOCQ_CHECK_EQ(gaifman.num_vertices(), a.universe_size());
+  in_.num_threads = EffectiveThreads(in.num_threads);
 }
 
 void HanfEvaluator::RecordTyping(const SphereTypeAssignment& types) {
-  if (metrics_ == nullptr) return;
   const std::size_t num_types = types.registry.NumTypes();
-  metrics_->AddCounter("hanf.typings", 1);
-  metrics_->AddCounter("hanf.sphere_types",
-                       static_cast<std::int64_t>(num_types));
-  metrics_->AddCounter("hanf.typed_elements",
-                       static_cast<std::int64_t>(a_.universe_size()));
+  in_.Count("hanf.typings", 1);
+  in_.Count("hanf.sphere_types", static_cast<std::int64_t>(num_types));
+  in_.Count("hanf.typed_elements",
+            static_cast<std::int64_t>(a_.universe_size()));
   // One representative evaluation per type is the whole point of
   // type-sharing; elements_per_type records how much each one is shared.
-  metrics_->AddCounter("hanf.type_evals",
-                       static_cast<std::int64_t>(num_types));
+  in_.Count("hanf.type_evals", static_cast<std::int64_t>(num_types));
   // Aggregate the per-type population distribution locally and fold it into
   // the sink in one MergeValue — same stats as a RecordValue per type, at
   // O(1) sink operations per typing.
@@ -38,14 +31,13 @@ void HanfEvaluator::RecordTyping(const SphereTypeAssignment& types) {
     populations.Record(
         static_cast<std::int64_t>(types.elements_of_type[id].size()));
   }
-  metrics_->MergeValue("hanf.elements_per_type", populations);
+  in_.Merge("hanf.elements_per_type", populations);
 }
 
 const SphereTypeAssignment& HanfEvaluator::TypesFor(
     std::uint32_t r, std::optional<SphereTypeAssignment>* local) {
   if (provider_) return provider_(r);
-  return local->emplace(
-      ComputeSphereTypes(a_, gaifman_, r, num_threads_, progress_));
+  return local->emplace(ComputeSphereTypes(a_, gaifman_, r, in_));
 }
 
 Result<CountInt> HanfEvaluator::CountSatisfying(const Formula& phi, Var x,
@@ -66,9 +58,7 @@ Result<CountInt> HanfEvaluator::CountSatisfying(const Formula& phi, Var x,
   const SphereTypeAssignment& types = TypesFor(r, &local);
   // A hard deadline during a local typing leaves `types` partial: bail out
   // before reading it (provider-backed typings are always complete).
-  if (progress_ != nullptr && progress_->cancelled()) {
-    return progress_->DeadlineStatus();
-  }
+  if (in_.Cancelled()) return in_.DeadlineStatus();
   last_num_types_ = types.registry.NumTypes();
   RecordTyping(types);
   const std::size_t num_types = types.registry.NumTypes();
@@ -76,17 +66,14 @@ Result<CountInt> HanfEvaluator::CountSatisfying(const Formula& phi, Var x,
   // reduce the per-chunk partial counts in chunk order so overflow behaviour
   // and the total match the serial loop exactly.
   const std::size_t num_chunks =
-      MakeChunkGrid(num_types, num_threads_).num_chunks;
+      MakeChunkGrid(num_types, in_.num_threads).num_chunks;
   std::vector<CountInt> partial(num_chunks, 0);
   std::vector<std::uint8_t> overflow(num_chunks, 0);
-  if (progress_ != nullptr) {
-    progress_->AddTotal(ProgressPhase::kHanf,
-                        static_cast<std::int64_t>(num_types));
-  }
-  ParallelFor(num_threads_, num_types,
+  in_.AddTotal(ProgressPhase::kHanf, static_cast<std::int64_t>(num_types));
+  ParallelFor(in_.num_threads, num_types,
               [&](std::size_t chunk, std::size_t begin, std::size_t end) {
                 for (std::size_t id = begin; id < end; ++id) {
-                  if (progress_ != nullptr && progress_->ShouldStop()) return;
+                  if (in_.ShouldStop()) return;
                   const Structure& rep = types.registry.Representative(
                       static_cast<SphereTypeId>(id));
                   Graph rep_gaifman = BuildGaifmanGraph(rep);
@@ -94,9 +81,7 @@ Result<CountInt> HanfEvaluator::CountSatisfying(const Formula& phi, Var x,
                   bool sat = eval.Satisfies(
                       phi, {{x, types.registry.RepresentativeCenter(
                                     static_cast<SphereTypeId>(id))}});
-                  if (progress_ != nullptr) {
-                    progress_->Advance(ProgressPhase::kHanf, 1);
-                  }
+                  in_.Advance(ProgressPhase::kHanf, 1);
                   if (!sat) continue;
                   auto sum = CheckedAdd(
                       partial[chunk],
@@ -108,9 +93,7 @@ Result<CountInt> HanfEvaluator::CountSatisfying(const Formula& phi, Var x,
                   partial[chunk] = *sum;
                 }
               });
-  if (progress_ != nullptr && progress_->cancelled()) {
-    return progress_->DeadlineStatus();
-  }
+  if (in_.Cancelled()) return in_.DeadlineStatus();
   CountInt total = 0;
   for (std::size_t c = 0; c < num_chunks; ++c) {
     if (overflow[c]) return Status::OutOfRange("type count overflows int64");
@@ -129,9 +112,7 @@ Result<std::vector<CountInt>> HanfEvaluator::EvaluateBasicAll(
   std::uint32_t sphere_radius = RequiredCoverRadius(basic);
   std::optional<SphereTypeAssignment> local;
   const SphereTypeAssignment& types = TypesFor(sphere_radius, &local);
-  if (progress_ != nullptr && progress_->cancelled()) {
-    return progress_->DeadlineStatus();  // partial local typing
-  }
+  if (in_.Cancelled()) return in_.DeadlineStatus();  // partial local typing
   last_num_types_ = types.registry.NumTypes();
   RecordTyping(types);
 
@@ -140,16 +121,13 @@ Result<std::vector<CountInt>> HanfEvaluator::EvaluateBasicAll(
   // elements_of_type partitions the universe, so type chunks broadcast into
   // disjoint slots of `out`; errors surface in type-chunk order.
   const std::size_t num_chunks =
-      MakeChunkGrid(num_types, num_threads_).num_chunks;
+      MakeChunkGrid(num_types, in_.num_threads).num_chunks;
   std::vector<Status> chunk_status(num_chunks, Status::Ok());
-  if (progress_ != nullptr) {
-    progress_->AddTotal(ProgressPhase::kHanf,
-                        static_cast<std::int64_t>(num_types));
-  }
-  ParallelFor(num_threads_, num_types,
+  in_.AddTotal(ProgressPhase::kHanf, static_cast<std::int64_t>(num_types));
+  ParallelFor(in_.num_threads, num_types,
               [&](std::size_t chunk, std::size_t begin, std::size_t end) {
                 for (std::size_t id = begin; id < end; ++id) {
-                  if (progress_ != nullptr && progress_->ShouldStop()) return;
+                  if (in_.ShouldStop()) return;
                   const Structure& rep = types.registry.Representative(
                       static_cast<SphereTypeId>(id));
                   Graph rep_gaifman = BuildGaifmanGraph(rep);
@@ -165,14 +143,10 @@ Result<std::vector<CountInt>> HanfEvaluator::EvaluateBasicAll(
                   for (ElemId e : types.elements_of_type[id]) {
                     out[e] = (*value)[0];
                   }
-                  if (progress_ != nullptr) {
-                    progress_->Advance(ProgressPhase::kHanf, 1);
-                  }
+                  in_.Advance(ProgressPhase::kHanf, 1);
                 }
               });
-  if (progress_ != nullptr && progress_->cancelled()) {
-    return progress_->DeadlineStatus();
-  }
+  if (in_.Cancelled()) return in_.DeadlineStatus();
   for (const Status& s : chunk_status) {
     if (!s.ok()) return s;
   }

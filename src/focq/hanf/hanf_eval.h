@@ -33,15 +33,14 @@ using SphereTypeProvider =
 class HanfEvaluator {
  public:
   /// `gaifman` must be BuildGaifmanGraph(a); both must outlive this object.
-  /// `num_threads`: fan-out width (0 = all hardware threads, 1 = serial).
-  /// With `metrics` installed, every typing pass flushes hanf.* counters
-  /// (types interned, per-type population) — all input-determined. With
-  /// `progress` installed the per-type loops advance the kHanf phase and
-  /// poll the deadline; a hard expiry makes them return kDeadlineExceeded
-  /// (it also flows into ComputeSphereTypes when no provider is set).
-  HanfEvaluator(const Structure& a, const Graph& gaifman, int num_threads = 1,
-                MetricsSink* metrics = nullptr,
-                ProgressSink* progress = nullptr);
+  /// The handle's thread count is the fan-out width. Every typing pass
+  /// flushes hanf.* counters to its metrics sink (types interned, per-type
+  /// population) — all input-determined. The per-type loops advance the
+  /// kHanf phase and poll the deadline; a hard expiry makes them return
+  /// kDeadlineExceeded (the handle also flows into ComputeSphereTypes when
+  /// no provider is set).
+  HanfEvaluator(const Structure& a, const Graph& gaifman,
+                const Instruments& in = {});
 
   /// Installs a typing cache: when set, every evaluation pulls its sphere
   /// partition from `provider` instead of recomputing it (the EvalContext
@@ -66,7 +65,7 @@ class HanfEvaluator {
   std::size_t last_num_types() const { return last_num_types_; }
 
  private:
-  /// Flushes per-typing hanf.* counters for `types` into metrics_.
+  /// Flushes per-typing hanf.* counters for `types` into the metrics sink.
   void RecordTyping(const SphereTypeAssignment& types);
 
   /// The radius-r partition: from provider_ when installed, otherwise
@@ -76,9 +75,7 @@ class HanfEvaluator {
 
   const Structure& a_;
   const Graph& gaifman_;
-  int num_threads_;
-  MetricsSink* metrics_;
-  ProgressSink* progress_;
+  Instruments in_;  // num_threads resolved to the effective worker count
   SphereTypeProvider provider_;
   std::size_t last_num_types_ = 0;
 };

@@ -229,16 +229,13 @@ SphereTypeId SphereTypeRegistry::TypeOf(const Structure& sphere,
 
 SphereTypeAssignment ComputeSphereTypes(const Structure& a,
                                         const Graph& gaifman, std::uint32_t r,
-                                        int num_threads,
-                                        ProgressSink* progress) {
+                                        const Instruments& in) {
   SphereTypeAssignment out;
   const std::size_t n = a.universe_size();
   out.type_of.resize(n);
   TupleIncidence incidence(a);
-  const int workers = EffectiveThreads(num_threads);
-  if (progress != nullptr) {
-    progress->AddTotal(ProgressPhase::kHanf, static_cast<std::int64_t>(n));
-  }
+  const int workers = EffectiveThreads(in.num_threads);
+  in.AddTotal(ProgressPhase::kHanf, static_cast<std::int64_t>(n));
 
   // Interning must stay sequential in element order: TypeOf assigns dense ids
   // on first sight, so the order of first sightings determines every id. We
@@ -255,7 +252,7 @@ SphereTypeAssignment ComputeSphereTypes(const Structure& a,
                     std::size_t end) {
                   BallExplorer explorer(gaifman);
                   for (std::size_t i = begin; i < end; ++i) {
-                    if (progress != nullptr && progress->ShouldStop()) return;
+                    if (in.ShouldStop()) return;
                     ElemId e = static_cast<ElemId>(block_begin + i);
                     std::vector<ElemId> ball = explorer.Explore(e, r);
                     std::sort(ball.begin(), ball.end());
@@ -264,9 +261,9 @@ SphereTypeAssignment ComputeSphereTypes(const Structure& a,
                 });
     // A drained extraction leaves empty view slots: stop before interning
     // touches them (the partial assignment is discarded by the caller).
-    if (progress != nullptr && progress->cancelled()) return out;
+    if (in.Cancelled()) return out;
     for (std::size_t i = 0; i < block_size; ++i) {
-      if (progress != nullptr && progress->ShouldStop()) return out;
+      if (in.ShouldStop()) return out;
       ElemId e = static_cast<ElemId>(block_begin + i);
       SphereTypeId id =
           out.registry.TypeOf(views[i]->structure, views[i]->ToLocal(e));
@@ -275,7 +272,7 @@ SphereTypeAssignment ComputeSphereTypes(const Structure& a,
         out.elements_of_type.resize(id + 1);
       }
       out.elements_of_type[id].push_back(e);
-      if (progress != nullptr) progress->Advance(ProgressPhase::kHanf, 1);
+      in.Advance(ProgressPhase::kHanf, 1);
     }
   }
   return out;

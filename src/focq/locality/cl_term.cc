@@ -474,17 +474,16 @@ void AddStats(const ClTermBallEvaluator::ExploreStats& from,
 }  // namespace
 
 ClTermBallEvaluator::ClTermBallEvaluator(const Structure& structure,
-                                         const Graph& gaifman, int num_threads,
-                                         MetricsSink* metrics,
-                                         ProgressSink* progress,
+                                         const Graph& gaifman,
+                                         const Instruments& in,
                                          const BallTables* tables)
     : structure_(structure),
       gaifman_(gaifman),
-      num_threads_(EffectiveThreads(num_threads)),
-      metrics_(metrics),
-      progress_(progress),
+      in_(in),
       tables_(tables),
-      eval_(structure, gaifman, tables) {}
+      eval_(structure, gaifman, tables) {
+  in_.num_threads = EffectiveThreads(in.num_threads);
+}
 
 Result<std::vector<CountInt>> ClTermBallEvaluator::EvaluateBasicAt(
     const BasicClTerm& basic, std::span<const ElemId> anchors) {
@@ -507,22 +506,20 @@ Status ClTermBallEvaluator::CountEveryAnchor(const BasicClTerm& basic,
   const std::size_t units = clusters == nullptr ? structure_.universe_size()
                                                 : clusters->scopes.size();
   const BasicPlan plan = PlanBasic(basic, structure_);
-  if (progress_ != nullptr) {
-    progress_->AddTotal(ProgressPhase::kClTerm,
-                        static_cast<std::int64_t>(units));
-  }
+  in_.AddTotal(ProgressPhase::kClTerm, static_cast<std::int64_t>(units));
   // Chunks record disjoint anchors or per-chunk partials and surface errors
   // in chunk order, so failure reporting is deterministic too. Each chunk
   // worker shares the plan and the lent tables and owns its oracles and
   // scratch (one chunk uses this evaluator's), so it confines only its own
   // evaluator. Worker tallies land in per-chunk shards and reduce after the
   // join, so the flushed totals match the serial run.
-  const std::size_t num_chunks = MakeChunkGrid(units, num_threads_).num_chunks;
+  const std::size_t num_chunks =
+      MakeChunkGrid(units, in_.num_threads).num_chunks;
   std::vector<Status> chunk_status(num_chunks, Status::Ok());
   ShardedCounter anchors(num_chunks), balls(num_chunks),
       placements(num_chunks);
-  ParallelFor(num_threads_, units, [&](std::size_t chunk, std::size_t begin,
-                                       std::size_t end) {
+  ParallelFor(in_.num_threads, units, [&](std::size_t chunk,
+                                          std::size_t begin, std::size_t end) {
     std::optional<LocalEvaluator> own;
     LocalEvaluator* eval = num_chunks == 1
                                ? &eval_
@@ -549,29 +546,25 @@ Status ClTermBallEvaluator::CountEveryAnchor(const BasicClTerm& basic,
       return true;
     };
     for (std::size_t u = begin; u < end; ++u) {
-      if (progress_ != nullptr && progress_->ShouldStop()) break;
+      if (in_.ShouldStop()) break;
       if (!count_unit(u)) break;
-      if (progress_ != nullptr) progress_->Advance(ProgressPhase::kClTerm, 1);
+      in_.Advance(ProgressPhase::kClTerm, 1);
     }
     if (clusters != nullptr) eval->Confine({});
     anchors.Add(chunk, placement.stats.anchors);
     balls.Add(chunk, placement.stats.balls);
     placements.Add(chunk, placement.stats.placements);
   });
-  if (progress_ != nullptr && progress_->cancelled()) {
-    return progress_->DeadlineStatus();
-  }
+  if (in_.Cancelled()) return in_.DeadlineStatus();
   for (const Status& s : chunk_status) {
     if (!s.ok()) return s;
   }
   const ExploreStats delta{anchors.Total(), balls.Total(), placements.Total()};
   AddStats(delta, &explore_stats_);
-  if (metrics_ != nullptr) {
-    metrics_->AddCounter("clterm.basics_evaluated", 1);
-    metrics_->AddCounter("clterm.anchors_evaluated", delta.anchors);
-    metrics_->AddCounter("clterm.balls_fetched", delta.balls);
-    metrics_->AddCounter("clterm.placements_checked", delta.placements);
-  }
+  in_.Count("clterm.basics_evaluated", 1);
+  in_.Count("clterm.anchors_evaluated", delta.anchors);
+  in_.Count("clterm.balls_fetched", delta.balls);
+  in_.Count("clterm.placements_checked", delta.placements);
   return Status::Ok();
 }
 
@@ -608,7 +601,8 @@ Result<CountInt> ClTermBallEvaluator::EvaluateBasicGround(
   // non-negative, so the partial sums overflow exactly when the serial
   // running sum would: the parallel value (and error) is bit-identical.
   std::vector<CountInt> partial(
-      MakeChunkGrid(structure_.universe_size(), num_threads_).num_chunks, 0);
+      MakeChunkGrid(structure_.universe_size(), in_.num_threads).num_chunks,
+      0);
   Status status = CountEveryAnchor(
       basic, nullptr, [&partial](std::size_t chunk, ElemId, CountInt count) {
         auto sum = CheckedAdd(partial[chunk], count);

@@ -29,8 +29,7 @@
 #include "focq/graph/pattern_graph.h"
 #include "focq/locality/local_eval.h"
 #include "focq/logic/expr.h"
-#include "focq/obs/metrics.h"
-#include "focq/obs/progress.h"
+#include "focq/obs/instruments.h"
 #include "focq/structure/structure.h"
 #include "focq/util/status.h"
 
@@ -169,19 +168,17 @@ class ClTermBallEvaluator {
     std::int64_t placements = 0;
   };
 
-  /// `gaifman` must be the Gaifman graph of `structure`. `num_threads`
-  /// controls the per-anchor fan-out (0 = all hardware threads, 1 = serial).
-  /// With `metrics` installed, EvaluateBasicAll/EvaluateBasicGround flush
-  /// the clterm.* counters accumulated during the call. With `progress`
-  /// installed those loops advance the kClTerm phase per anchor and poll the
-  /// deadline; a hard expiry makes them return kDeadlineExceeded. With
+  /// `gaifman` must be the Gaifman graph of `structure`. The handle's
+  /// thread count controls the per-anchor fan-out. EvaluateBasicAll /
+  /// EvaluateBasicGround flush the clterm.* counters accumulated during the
+  /// call to its metrics sink, advance the kClTerm phase per anchor and poll
+  /// the deadline; a hard expiry makes them return kDeadlineExceeded. With
   /// `tables` lent, separation balls and kernel distances of a radius that
   /// has a table are read from it instead of explored; results are the same
   /// either way. The tables must be balls of `gaifman` and outlive the
   /// evaluator.
   ClTermBallEvaluator(const Structure& structure, const Graph& gaifman,
-                      int num_threads = 1, MetricsSink* metrics = nullptr,
-                      ProgressSink* progress = nullptr,
+                      const Instruments& in = {},
                       const BallTables* tables = nullptr);
 
   /// Cumulative exploration work since construction (includes per-call
@@ -241,9 +238,7 @@ class ClTermBallEvaluator {
 
   const Structure& structure_;
   const Graph& gaifman_;
-  int num_threads_;
-  MetricsSink* metrics_;
-  ProgressSink* progress_;
+  Instruments in_;  // num_threads resolved to the effective worker count
   const BallTables* tables_;
   LocalEvaluator eval_;
   ExploreStats explore_stats_;

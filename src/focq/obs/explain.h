@@ -99,7 +99,8 @@ class ExplainSink {
 
 /// RAII attribution scope: charges wall time to `node` and, when a flat
 /// metrics sink is supplied, the counter deltas observed across the scope.
-/// Null-safe in both the sink and the node id:
+/// Null-safe in both the sink and the node id. The engines open one through
+/// Phase (obs/instruments.h):
 ///   ScopedNodeTimer t(options_.explain, node, options_.metrics);
 class ScopedNodeTimer {
  public:

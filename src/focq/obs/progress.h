@@ -26,8 +26,9 @@
 //     kDeadlineExceeded instead of a result; *which* chunk observes the
 //     expiry first is scheduling-dependent, but the outcome (a clean error,
 //     no partial cache writes) is not.
-//   * Everything is null-safe at the call sites: engines guard on the sink
-//     pointer, so evaluation without a sink costs one branch per chunk.
+//   * Everything is null-safe at the call sites: engines poll through the
+//     emitters of Instruments (obs/instruments.h), which guard on the sink
+//     pointer, so evaluation without a sink costs one branch per poll.
 #ifndef FOCQ_OBS_PROGRESS_H_
 #define FOCQ_OBS_PROGRESS_H_
 

@@ -131,7 +131,8 @@ class TraceSink : public ParallelForObserver {
 /// RAII span; null-safe, so call sites need no sink guard. While live, the
 /// sink is also installed as the calling thread's ParallelFor observer (the
 /// previous observer is restored on exit, so scopes nest), which is what
-/// routes chunk slices to worker lanes:
+/// routes chunk slices to worker lanes. The engines open one through Phase
+/// (obs/instruments.h):
 ///   ScopedSpan span(options_.trace, "cover_build");
 /// Spans are also the flight recorder's phase feed: enter/exit events land
 /// in the global ring whenever it is enabled, independent of whether a

@@ -62,12 +62,10 @@ Server::Server(Structure* a, const ServeOptions& options)
       context_(*a),
       queue_(options.admission_capacity) {
   // The server wires its own sinks per request; caller-installed ones would
-  // race across pool workers.
+  // race across pool workers. Only the thread count of the handle survives.
   options_.eval.context = nullptr;
-  options_.eval.metrics = nullptr;
-  options_.eval.trace = nullptr;
-  options_.eval.explain = nullptr;
-  options_.eval.progress = nullptr;
+  Instruments& handle = options_.eval;
+  handle = {.num_threads = handle.num_threads};
 }
 
 Server::~Server() { Stop(); }

@@ -157,18 +157,21 @@ std::string CaseToCppSnippet(const DiffCase& c) {
       out += "//   " + UpdateToString(u, sig) + "\n";
     }
   }
+  out += "EvalOptions naive, local;\n";
+  out += "naive.engine = Engine::kNaive;\n";
+  out += "local.engine = Engine::kLocal;\n";
   if (c.mode == CaseMode::kTerm) {
     out += "Term t = *ParseTerm(R\"(" + ToString(c.term) + ")\");\n";
-    out += "EXPECT_EQ(*EvaluateGroundTerm(t, a, {Engine::kNaive}),\n"
-           "          *EvaluateGroundTerm(t, a, {Engine::kLocal}));\n";
+    out += "EXPECT_EQ(*EvaluateGroundTerm(t, a, naive),\n"
+           "          *EvaluateGroundTerm(t, a, local));\n";
   } else {
     out += "Formula phi = *ParseFormula(R\"(" + ToString(c.formula) + ")\");\n";
     if (c.mode == CaseMode::kCheck) {
-      out += "EXPECT_EQ(*ModelCheck(phi, a, {Engine::kNaive}),\n"
-             "          *ModelCheck(phi, a, {Engine::kLocal}));\n";
+      out += "EXPECT_EQ(*ModelCheck(phi, a, naive),\n"
+             "          *ModelCheck(phi, a, local));\n";
     } else if (c.mode == CaseMode::kCount) {
-      out += "EXPECT_EQ(*CountSolutions(phi, a, {Engine::kNaive}),\n"
-             "          *CountSolutions(phi, a, {Engine::kLocal}));\n";
+      out += "EXPECT_EQ(*CountSolutions(phi, a, naive),\n"
+             "          *CountSolutions(phi, a, local));\n";
     } else {
       out += "Foc1Query q;  // head vars = sorted free vars\n";
       out += "q.condition = phi;\n";
@@ -177,8 +180,8 @@ std::string CaseToCppSnippet(const DiffCase& c) {
                ")\"));\n";
       }
       out += "// fill q.head_vars from FreeVars(phi) + head terms, then:\n";
-      out += "EXPECT_EQ(EvaluateQuery(q, a, {Engine::kNaive})->rows,\n"
-             "          EvaluateQuery(q, a, {Engine::kLocal})->rows);\n";
+      out += "EXPECT_EQ(EvaluateQuery(q, a, naive)->rows,\n"
+             "          EvaluateQuery(q, a, local)->rows);\n";
     }
   }
   return out;

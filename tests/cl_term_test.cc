@@ -237,7 +237,7 @@ TEST(ClTermBallEval, NarrowsCandidatesToTheKernelDistBall) {
   for (const BallTables* tables : {static_cast<const BallTables*>(nullptr),
                                    &lent}) {
     for (int threads : {1, 4}) {
-      ClTermBallEvaluator ball(a, gaifman, threads, nullptr, nullptr, tables);
+      ClTermBallEvaluator ball(a, gaifman, {.num_threads = threads}, tables);
       Result<std::vector<CountInt>> values = ball.EvaluateBasicAll(basic);
       ASSERT_TRUE(values.ok());
       EXPECT_EQ(ball.explore_stats().placements, in_two_balls)

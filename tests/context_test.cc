@@ -204,7 +204,7 @@ TEST(HanfEvaluator, SphereTypeProviderMatchesRecompute) {
   ASSERT_TRUE(expected.ok());
 
   MetricsSink sink;
-  HanfEvaluator cached(a, gaifman, /*num_threads=*/1, &sink);
+  HanfEvaluator cached(a, gaifman, {.metrics = &sink});
   cached.set_sphere_type_provider(
       [&ctx](std::uint32_t r) -> const SphereTypeAssignment& {
         return ctx.SphereTypes(r);

@@ -11,12 +11,16 @@
 namespace focq {
 namespace {
 
-EvalOptions Naive() { return EvalOptions{Engine::kNaive, TermEngine::kBall}; }
-EvalOptions LocalBall() {
-  return EvalOptions{Engine::kLocal, TermEngine::kBall};
+EvalOptions Naive() {
+  EvalOptions options;
+  options.engine = Engine::kNaive;
+  return options;
 }
+EvalOptions LocalBall() { return EvalOptions{}; }
 EvalOptions LocalCover() {
-  return EvalOptions{Engine::kLocal, TermEngine::kSparseCover};
+  EvalOptions options;
+  options.term_engine = TermEngine::kSparseCover;
+  return options;
 }
 
 TEST(Plan, CompilesDegreeQuery) {

@@ -143,7 +143,7 @@ TEST(CoverEvaluator, EvaluatesInsideEachCluster) {
       }
       cover.r = RequiredCoverRadius(b);
       for (int threads : {1, 4}) {
-        ClTermCoverEvaluator cov(a, gaifman, cover, threads);
+        ClTermCoverEvaluator cov(a, gaifman, cover, {.num_threads = threads});
         Result<std::vector<CountInt>> actual = cov.EvaluateBasicAll(b);
         ASSERT_TRUE(actual.ok());
         EXPECT_EQ(*actual, expected)

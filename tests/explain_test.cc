@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -12,6 +13,9 @@
 #include "focq/graph/generators.h"
 #include "focq/logic/build.h"
 #include "focq/obs/explain.h"
+#include "focq/obs/instruments.h"
+#include "focq/obs/recorder.h"
+#include "focq/obs/trace.h"
 #include "focq/structure/encode.h"
 
 namespace focq {
@@ -200,6 +204,104 @@ TEST(Explain, SinkDoesNotChangeResults) {
   ASSERT_TRUE(observed.ok());
   EXPECT_EQ(*observed, *expected);
   EXPECT_FALSE(explain.Snapshot().nodes.empty());
+}
+
+// One Phase with all four sinks installed: one span of its name, one node
+// charged with its duration and the counter delta made inside it, and one
+// enter/exit pair in the flight recorder. The emitters reach their sinks.
+TEST(Instruments, PhaseChargesSpanNodeAndRecorder) {
+  FlightRecorder& recorder = FlightRecorder::Global();
+  recorder.Enable(4096);
+  recorder.Clear();
+  MetricsSink metrics;
+  TraceSink trace;
+  ExplainSink explain;
+  ProgressSink progress;
+  const Instruments in{.metrics = &metrics,
+                       .trace = &trace,
+                       .explain = &explain,
+                       .progress = &progress};
+  metrics.AddCounter("phase.items", 5);  // before the phase: not charged
+  const int node = in.NewNode("phase", "under test");
+  ASSERT_EQ(node, 0);
+  {
+    Phase phase(in, "phase_under_test", node);
+    in.Count("phase.items", 3);
+    in.Max("phase.peak", 7);
+    in.AddTotal(ProgressPhase::kCover, 4);
+    in.Advance(ProgressPhase::kCover, 2);
+  }
+  std::vector<FlightEvent> events = recorder.Snapshot();
+  recorder.Disable();
+
+  std::vector<TraceSpan> spans = trace.Spans();
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_EQ(spans[0].name, "phase_under_test");
+  EXPECT_TRUE(spans[0].children.empty());
+
+  ExplainReport report = explain.Snapshot();
+  ASSERT_EQ(report.nodes.size(), 1u);
+  EXPECT_EQ(report.nodes[0].kind, "phase");
+  EXPECT_EQ(report.nodes[0].label, "under test");
+  EXPECT_TRUE(report.analyzed);
+  EXPECT_GT(report.profiles[0].duration_ns, 0);
+  EXPECT_EQ(report.profiles[0].counters,
+            (std::map<std::string, std::int64_t>{{"phase.items", 3},
+                                                 {"phase.peak", 7}}));
+
+  EXPECT_EQ(metrics.Counter("phase.items"), 8);
+  EXPECT_EQ(progress.Get(ProgressPhase::kCover).total, 4);
+  EXPECT_EQ(progress.Get(ProgressPhase::kCover).done, 2);
+  EXPECT_FALSE(in.ShouldStop());
+
+  int enters = 0, exits = 0;
+  for (const FlightEvent& e : events) {
+    if (std::string(e.name) != "phase_under_test") continue;
+    if (e.kind == FlightEventKind::kPhaseEnter) ++enters;
+    if (e.kind == FlightEventKind::kPhaseExit) ++exits;
+  }
+  EXPECT_EQ(enters, 1);
+  EXPECT_EQ(exits, 1);
+}
+
+// An empty span name opens no span; node -1 creates and charges no node.
+TEST(Instruments, PhaseSkipsEmptySpanAndNodeMinusOne) {
+  MetricsSink metrics;
+  TraceSink trace;
+  ExplainSink explain;
+  const Instruments in{.metrics = &metrics, .trace = &trace,
+                       .explain = &explain};
+  { Phase span_only(in, "span_only", -1); }
+  EXPECT_TRUE(explain.Snapshot().nodes.empty());
+  EXPECT_FALSE(explain.Snapshot().analyzed);
+
+  const int node = in.NewNode("phase", "timer only");
+  { Phase timer_only(in, "", node); }
+  std::vector<TraceSpan> spans = trace.Spans();
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_EQ(spans[0].name, "span_only");
+  ExplainReport report = explain.Snapshot();
+  ASSERT_EQ(report.nodes.size(), 1u);
+  EXPECT_TRUE(report.analyzed);
+}
+
+// A default handle: one thread, and every emitter is a no-op.
+TEST(Instruments, DefaultHandleIsInert) {
+  const Instruments in;
+  EXPECT_EQ(in.num_threads, 1);
+  EXPECT_EQ(in.explain_parent, -1);
+  EXPECT_EQ(in.NewNode("kind", "label"), -1);
+  in.Count("x", 1);
+  in.Max("x", 2);
+  in.Merge("x", ValueStats{});
+  in.NodeBytes(0, 8);
+  in.NodeMax(0, "x", 1);
+  in.AddTotal(ProgressPhase::kCover, 1);
+  in.Advance(ProgressPhase::kCover, 1);
+  { Phase phase(in, "inert", 0); }
+  EXPECT_FALSE(in.ShouldStop());
+  EXPECT_FALSE(in.Cancelled());
+  EXPECT_EQ(in.DeadlineStatus().code(), StatusCode::kDeadlineExceeded);
 }
 
 }  // namespace

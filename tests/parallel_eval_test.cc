@@ -51,17 +51,19 @@ TEST_P(ParallelEquivalenceTest, CoverConstructionIsThreadCountIndependent) {
   Rng rng(1000 + family);
   Graph g = MakeFamilyGraph(family, 300, &rng);
   for (std::uint32_t r : {1u, 2u}) {
-    NeighborhoodCover serial_sparse = SparseCover(g, r, 1);
-    NeighborhoodCover serial_exact = ExactBallCover(g, r, 1);
+    NeighborhoodCover serial_sparse = SparseCover(g, r);
+    NeighborhoodCover serial_exact = ExactBallCover(g, r);
     // 0 = all hardware threads; its grid must match the serial one too.
     for (int threads : {8, 0}) {
-      NeighborhoodCover parallel_sparse = SparseCover(g, r, threads);
+      NeighborhoodCover parallel_sparse =
+          SparseCover(g, r, {.num_threads = threads});
       EXPECT_EQ(serial_sparse.clusters, parallel_sparse.clusters);
       EXPECT_EQ(serial_sparse.centers, parallel_sparse.centers);
       EXPECT_EQ(serial_sparse.assignment, parallel_sparse.assignment);
       CheckCoverInvariants(g, parallel_sparse);
 
-      NeighborhoodCover parallel_exact = ExactBallCover(g, r, threads);
+      NeighborhoodCover parallel_exact =
+          ExactBallCover(g, r, {.num_threads = threads});
       EXPECT_EQ(serial_exact.clusters, parallel_exact.clusters);
       EXPECT_EQ(serial_exact.centers, parallel_exact.centers);
       EXPECT_EQ(serial_exact.assignment, parallel_exact.assignment);
@@ -76,12 +78,14 @@ TEST_P(ParallelEquivalenceTest, LocalEngineCountsAreThreadCountIndependent) {
   Structure a = EncodeGraph(MakeFamilyGraph(family, 400, &rng));
   Formula phi = ScalingCondition();
 
-  EvalOptions serial{Engine::kLocal, TermEngine::kBall, 1};
+  EvalOptions serial;
+  serial.num_threads = 1;
   Result<CountInt> expected = CountSolutions(phi, a, serial);
   ASSERT_TRUE(expected.ok()) << expected.status().ToString();
 
   for (int threads : {0, 2, 4, 8}) {
-    EvalOptions options{Engine::kLocal, TermEngine::kBall, threads};
+    EvalOptions options;
+    options.num_threads = threads;
     Result<CountInt> got = CountSolutions(phi, a, options);
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     EXPECT_EQ(*got, *expected) << "threads=" << threads;
@@ -94,12 +98,16 @@ TEST_P(ParallelEquivalenceTest, CoverEngineCountsAreThreadCountIndependent) {
   Structure a = EncodeGraph(MakeFamilyGraph(family, 400, &rng));
   Formula phi = ScalingCondition();
 
-  EvalOptions serial{Engine::kLocal, TermEngine::kSparseCover, 1};
+  EvalOptions serial;
+  serial.term_engine = TermEngine::kSparseCover;
+  serial.num_threads = 1;
   Result<CountInt> expected = CountSolutions(phi, a, serial);
   ASSERT_TRUE(expected.ok()) << expected.status().ToString();
 
   for (int threads : {0, 2, 8}) {
-    EvalOptions options{Engine::kLocal, TermEngine::kSparseCover, threads};
+    EvalOptions options;
+    options.term_engine = TermEngine::kSparseCover;
+    options.num_threads = threads;
     Result<CountInt> got = CountSolutions(phi, a, options);
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     EXPECT_EQ(*got, *expected) << "threads=" << threads;
@@ -122,7 +130,8 @@ TEST_P(ParallelEquivalenceTest, NaiveEngineCountsAreThreadCountIndependent) {
     EXPECT_EQ(*got, *expected) << "threads=" << threads;
   }
   // And agreement of parallel local vs parallel naive closes the loop.
-  EvalOptions local{Engine::kLocal, TermEngine::kBall, 4};
+  EvalOptions local;
+  local.num_threads = 4;
   Result<CountInt> local_got = CountSolutions(phi, a, local);
   ASSERT_TRUE(local_got.ok()) << local_got.status().ToString();
   EXPECT_EQ(*local_got, *expected);
@@ -134,10 +143,10 @@ TEST_P(ParallelEquivalenceTest, SphereTypesAreThreadCountIndependent) {
   Structure a = EncodeGraph(MakeFamilyGraph(family, 250, &rng));
   Graph gaifman = BuildGaifmanGraph(a);
   for (std::uint32_t r : {1u, 2u}) {
-    SphereTypeAssignment serial = ComputeSphereTypes(a, gaifman, r, 1);
+    SphereTypeAssignment serial = ComputeSphereTypes(a, gaifman, r);
     for (int threads : {8, 0}) {
-      SphereTypeAssignment parallel = ComputeSphereTypes(a, gaifman, r,
-                                                         threads);
+      SphereTypeAssignment parallel =
+          ComputeSphereTypes(a, gaifman, r, {.num_threads = threads});
       // Sequential interning in element order makes the dense ids themselves
       // identical, not just the partition.
       EXPECT_EQ(serial.type_of, parallel.type_of);
@@ -157,12 +166,12 @@ TEST_P(ParallelEquivalenceTest, HanfCountsAreThreadCountIndependent) {
   std::optional<std::uint32_t> r = SyntacticLocalityRadius(phi);
   ASSERT_TRUE(r.has_value());
 
-  HanfEvaluator serial(a, gaifman, 1);
+  HanfEvaluator serial(a, gaifman);
   Result<CountInt> expected = serial.CountSatisfying(phi, x, *r);
   ASSERT_TRUE(expected.ok()) << expected.status().ToString();
 
   for (int threads : {0, 2, 8}) {
-    HanfEvaluator parallel(a, gaifman, threads);
+    HanfEvaluator parallel(a, gaifman, {.num_threads = threads});
     Result<CountInt> got = parallel.CountSatisfying(phi, x, *r);
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     EXPECT_EQ(*got, *expected) << "threads=" << threads;
@@ -180,12 +189,14 @@ TEST_P(ParallelEquivalenceTest, UnaryQueryRowsAreThreadCountIndependent) {
   q.condition = Ge1(Count({y}, Atom("E", {x, y})));
   q.head_terms = {Count({y}, Atom("E", {x, y}))};
 
-  EvalOptions serial{Engine::kLocal, TermEngine::kBall, 1};
+  EvalOptions serial;
+  serial.num_threads = 1;
   Result<QueryResult> expected = EvaluateQuery(q, a, serial);
   ASSERT_TRUE(expected.ok()) << expected.status().ToString();
 
   for (int threads : {0, 2, 8}) {
-    EvalOptions options{Engine::kLocal, TermEngine::kBall, threads};
+    EvalOptions options;
+    options.num_threads = threads;
     Result<QueryResult> got = EvaluateQuery(q, a, options);
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     ASSERT_EQ(got->rows.size(), expected->rows.size());
@@ -213,12 +224,14 @@ TEST_P(ParallelEquivalenceTest, BinaryQueryRowsAreThreadCountIndependent) {
   q.head_terms = {Mul(Count({z}, Atom("E", {x, z})),
                       Count({z}, Atom("E", {z, y})))};
 
-  EvalOptions serial{Engine::kLocal, TermEngine::kBall, 1};
+  EvalOptions serial;
+  serial.num_threads = 1;
   Result<QueryResult> expected = EvaluateQuery(q, a, serial);
   ASSERT_TRUE(expected.ok()) << expected.status().ToString();
 
   for (int threads : {0, 2, 8}) {
-    EvalOptions options{Engine::kLocal, TermEngine::kBall, threads};
+    EvalOptions options;
+    options.num_threads = threads;
     Result<QueryResult> got = EvaluateQuery(q, a, options);
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     ASSERT_EQ(got->rows.size(), expected->rows.size());

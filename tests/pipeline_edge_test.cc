@@ -14,8 +14,12 @@
 namespace focq {
 namespace {
 
-EvalOptions Naive() { return EvalOptions{Engine::kNaive, TermEngine::kBall}; }
-EvalOptions Local() { return EvalOptions{Engine::kLocal, TermEngine::kBall}; }
+EvalOptions Naive() {
+  EvalOptions options;
+  options.engine = Engine::kNaive;
+  return options;
+}
+EvalOptions Local() { return EvalOptions{}; }
 
 TEST(PipelineEdge, SingleElementUniverse) {
   Structure a(Signature({{"E", 2}, {"R", 1}}), 1);

@@ -11,6 +11,12 @@
 namespace focq {
 namespace {
 
+EvalOptions WithEngine(Engine engine) {
+  EvalOptions options;
+  options.engine = engine;
+  return options;
+}
+
 TEST(Foc1Query, ValidationRules) {
   Var x = VarNamed("qvx"), y = VarNamed("qvy");
   Foc1Query q;
@@ -66,10 +72,8 @@ TEST(Foc1Query, LocalEngineMatchesNaive) {
     q.head_terms = {Count({y}, Atom("E", {x, y})),
                     Add(Count({y}, And(Atom("E", {x, y}), Atom("R", {y}))),
                         Int(7))};
-    Result<QueryResult> naive =
-        EvaluateQuery(q, a, EvalOptions{Engine::kNaive, TermEngine::kBall});
-    Result<QueryResult> local =
-        EvaluateQuery(q, a, EvalOptions{Engine::kLocal, TermEngine::kBall});
+    Result<QueryResult> naive = EvaluateQuery(q, a, WithEngine(Engine::kNaive));
+    Result<QueryResult> local = EvaluateQuery(q, a, WithEngine(Engine::kLocal));
     ASSERT_TRUE(naive.ok());
     ASSERT_TRUE(local.ok()) << local.status().ToString();
     EXPECT_EQ(naive->rows, local->rows);
@@ -84,8 +88,7 @@ TEST(Foc1Query, NullaryHeads) {
   q.condition = Not(Exists(x, Not(Eq(x, x))));  // the paper's tautology
   q.head_terms = {Count({x}, Eq(x, x)), Count({x, y}, Atom("E", {x, y}))};
   for (Engine engine : {Engine::kNaive, Engine::kLocal}) {
-    Result<QueryResult> rows =
-        EvaluateQuery(q, a, EvalOptions{engine, TermEngine::kBall});
+    Result<QueryResult> rows = EvaluateQuery(q, a, WithEngine(engine));
     ASSERT_TRUE(rows.ok()) << rows.status().ToString();
     ASSERT_EQ(rows->rows.size(), 1u);
     EXPECT_EQ(rows->rows[0].counts, (std::vector<CountInt>{6, 10}));

@@ -63,7 +63,9 @@ TEST(SqlCount, GroupByCountryMatchesDirect) {
   ASSERT_TRUE(direct.ok());
   ASSERT_EQ(direct->size(), 3u);  // DE:2, UK:1, AT:1
   for (Engine engine : {Engine::kLocal}) {
-    auto foc1 = RunGroupByCountFoc1(db, spec, {engine, TermEngine::kBall});
+    EvalOptions options;
+    options.engine = engine;
+    auto foc1 = RunGroupByCountFoc1(db, spec, options);
     ASSERT_TRUE(foc1.ok()) << foc1.status().ToString();
     EXPECT_EQ(*foc1, *direct);
   }
@@ -75,7 +77,9 @@ TEST(SqlCount, TotalsMatchDirect) {
   auto direct = RunTotalCountsDirect(db, spec);
   ASSERT_TRUE(direct.ok());
   for (Engine engine : {Engine::kLocal}) {
-    auto foc1 = RunTotalCountsFoc1(db, spec, {engine, TermEngine::kBall});
+    EvalOptions options;
+    options.engine = engine;
+    auto foc1 = RunTotalCountsFoc1(db, spec, options);
     ASSERT_TRUE(foc1.ok()) << foc1.status().ToString();
     EXPECT_EQ(*foc1, *direct);
     ASSERT_EQ(foc1->size(), 2u);
@@ -99,7 +103,7 @@ TEST(SqlCount, BerlinJoinMatchesDirect) {
   auto direct = RunJoinGroupCountDirect(db, spec);
   ASSERT_TRUE(direct.ok());
   ASSERT_EQ(direct->size(), 2u);  // Ada Lovelace (2 orders), Kurt Goedel (1)
-  auto foc1 = RunJoinGroupCountFoc1(db, spec, {Engine::kLocal, TermEngine::kBall});
+  auto foc1 = RunJoinGroupCountFoc1(db, spec, EvalOptions{});
   ASSERT_TRUE(foc1.ok()) << foc1.status().ToString();
   EXPECT_EQ(*foc1, *direct);
   // Spot check the counts.
@@ -117,8 +121,8 @@ TEST(SqlCount, GeneratedDataAgreesAcrossEngines) {
   Catalog db = MakeCustomerOrderDatabase(config);
   GroupByCountSpec spec{"Customer", "Country", "Id"};
   auto direct = RunGroupByCountDirect(db, spec);
-  auto naive = RunGroupByCountFoc1(db, spec, {Engine::kLocal, TermEngine::kBall});
-  auto local = RunGroupByCountFoc1(db, spec, {Engine::kLocal, TermEngine::kBall});
+  auto naive = RunGroupByCountFoc1(db, spec, EvalOptions{});
+  auto local = RunGroupByCountFoc1(db, spec, EvalOptions{});
   ASSERT_TRUE(direct.ok());
   ASSERT_TRUE(naive.ok());
   ASSERT_TRUE(local.ok()) << local.status().ToString();
@@ -135,7 +139,7 @@ TEST(SqlCount, GeneratedDataAgreesAcrossEngines) {
   join.filter_value = Value{"Berlin"};
   join.group_columns = {"FirstName", "LastName"};
   auto jdirect = RunJoinGroupCountDirect(db, join);
-  auto jfoc1 = RunJoinGroupCountFoc1(db, join, {Engine::kLocal, TermEngine::kBall});
+  auto jfoc1 = RunJoinGroupCountFoc1(db, join, EvalOptions{});
   ASSERT_TRUE(jdirect.ok());
   ASSERT_TRUE(jfoc1.ok()) << jfoc1.status().ToString();
   EXPECT_EQ(*jfoc1, *jdirect);
