@@ -1,7 +1,7 @@
 #include "focq/core/evaluator.h"
 
-#include <algorithm>
 #include <cstdint>
+#include <map>
 
 #include "focq/structure/gaifman.h"
 #include "focq/util/thread_pool.h"
@@ -41,45 +41,75 @@ Result<const NeighborhoodCover*> PlanExecutor::CoverFor(std::uint32_t radius) {
 Result<std::vector<CountInt>> PlanExecutor::EvalClTermAll(const ClTerm& term,
                                                           int explain_node) {
   Phase phase(options_, "", explain_node);
-  if (options_.term_engine == TermEngine::kBall) {
+  const bool ball = options_.term_engine == TermEngine::kBall;
+  BallTables tables;
+  std::map<std::uint32_t, ClusterView> cluster_views;
+  ClusterViews views;
+  if (ball) {
     // Warm tables: an exact r-cover's clusters are the sorted r-balls, so
     // every radius the term reads balls at comes from the context, built
     // once and repaired by updates, instead of being explored again here.
-    BallTables tables;
     for (std::uint32_t r : BallRadii(term)) {
       Result<const NeighborhoodCover*> cover =
           context_->TryCover(r, CoverBackend::kExact, options_);
       if (!cover.ok()) return cover.status();
       tables.emplace(r, &(*cover)->clusters);
     }
-    Phase eval_phase(options_, "cl_term_eval");
-    ClTermBallEvaluator eval(structure_, gaifman_, options_, &tables);
-    return eval.EvaluateAll(term);
-  }
-  // Cover engines: one cover per required radius; evaluate factor-wise and
-  // combine, so basics of different widths use appropriately-sized covers.
-  bool ground = term.IsGround();
-  std::size_t slots = ground ? 1 : structure_.universe_size();
-  std::vector<std::vector<CountInt>> factor_values;
-  factor_values.reserve(term.basics().size());
-  for (const BasicClTerm& b : term.basics()) {
-    std::uint32_t radius = RequiredCoverRadius(b);
-    options_.NodeMax(explain_node, "cover.radius", radius);
-    Result<const NeighborhoodCover*> cover = CoverFor(radius);
-    if (!cover.ok()) return cover.status();
-    Phase eval_phase(options_, "cl_term_eval");
-    ClTermCoverEvaluator eval(structure_, gaifman_, **cover, options_);
-    if (b.unary) {
-      Result<std::vector<CountInt>> v = eval.EvaluateBasicAll(b);
-      if (!v.ok()) return v.status();
-      factor_values.push_back(std::move(*v));
-    } else {
-      Result<CountInt> v = eval.EvaluateBasicGround(b);
-      if (!v.ok()) return v.status();
-      factor_values.push_back({*v});
+  } else {
+    // Cover engines: each basic is counted in the clusters of a cover of
+    // the radius it needs, so basics of different widths use covers of
+    // different radii. One view per distinct cover.
+    for (const BasicClTerm& b : term.basics()) {
+      const std::uint32_t radius = RequiredCoverRadius(b);
+      options_.NodeMax(explain_node, "cover.radius", radius);
+      Result<const NeighborhoodCover*> cover = CoverFor(radius);
+      if (!cover.ok()) return cover.status();
+      auto [it, fresh] = cluster_views.try_emplace(radius);
+      if (fresh) {
+        it->second = MakeClusterView((*cover)->clusters,
+                                     (*cover)->assignment, (*cover)->r);
+      }
+      views.emplace(radius, &it->second);
     }
   }
-  return CombineMonomials(term, factor_values, slots);
+  Phase eval_phase(options_, "cl_term_eval");
+  ClTermBallEvaluator eval(structure_, gaifman_, options_,
+                           ball ? &tables : nullptr, ball ? nullptr : &views);
+  return eval.EvaluateAll(term);
+}
+
+template <typename T, typename Fn>
+Result<std::vector<T>> PlanExecutor::AtEveryElement(ProgressPhase phase,
+                                                    std::span<const Var> vars,
+                                                    Fn fn) {
+  FOCQ_CHECK_LE(vars.size(), 1u);
+  const std::size_t n = structure_.universe_size();
+  // Chunks write disjoint slots and surface errors in chunk order.
+  std::vector<T> out(n);
+  std::vector<Status> chunk_status(
+      MakeChunkGrid(n, options_.num_threads).num_chunks, Status::Ok());
+  options_.AddTotal(phase, static_cast<std::int64_t>(n));
+  ParallelFor(options_.num_threads, n,
+              [&](std::size_t chunk, std::size_t begin, std::size_t end) {
+                LocalEvaluator eval(structure_, gaifman_);
+                Env env;
+                for (std::size_t a = begin; a < end; ++a) {
+                  if (options_.ShouldStop()) return;  // drain the rest
+                  for (Var v : vars) env.Bind(v, static_cast<ElemId>(a));
+                  Result<T> value = fn(eval, env);
+                  if (!value.ok()) {
+                    chunk_status[chunk] = value.status();
+                    return;
+                  }
+                  out[a] = *value;
+                  options_.Advance(phase, 1);
+                }
+              });
+  if (options_.Cancelled()) return options_.DeadlineStatus();
+  for (const Status& s : chunk_status) {
+    if (!s.ok()) return s;
+  }
+  return out;
 }
 
 Status PlanExecutor::MaterializeLayers() {
@@ -110,37 +140,17 @@ Status PlanExecutor::MaterializeLayers() {
           bool holds = eval.Satisfies(def.fallback_formula);
           structure_.AddNullarySymbol(def.name, holds);
         } else {
-          // Per-element checks are independent; chunks collect into private
-          // vectors that concatenate in chunk order, which — chunks being
-          // contiguous ranges — reproduces the serial (sorted) element list.
-          const std::size_t n = structure_.universe_size();
-          const int workers = EffectiveThreads(options_.num_threads);
-          const std::size_t num_chunks = MakeChunkGrid(n, workers).num_chunks;
-          std::vector<std::vector<ElemId>> chunk_elements(num_chunks);
-          options_.AddTotal(ProgressPhase::kMaterialize,
-                            static_cast<std::int64_t>(n));
-          ParallelFor(workers, n,
-                      [&](std::size_t chunk, std::size_t begin,
-                          std::size_t end) {
-                        LocalEvaluator chunk_eval(structure_, gaifman_);
-                        Env env;
-                        for (std::size_t a = begin; a < end; ++a) {
-                          if (options_.ShouldStop()) {
-                            return;  // hard deadline: drain remaining chunks
-                          }
-                          env.Bind(def.free_var, static_cast<ElemId>(a));
-                          if (chunk_eval.Satisfies(def.fallback_formula,
-                                                   &env)) {
-                            chunk_elements[chunk].push_back(
-                                static_cast<ElemId>(a));
-                          }
-                          options_.Advance(ProgressPhase::kMaterialize, 1);
-                        }
-                      });
-          if (options_.Cancelled()) return options_.DeadlineStatus();
+          Result<std::vector<std::uint8_t>> holds =
+              AtEveryElement<std::uint8_t>(
+                  ProgressPhase::kMaterialize, {&def.free_var, 1},
+                  [&def](LocalEvaluator& eval,
+                         Env& env) -> Result<std::uint8_t> {
+                    return eval.Satisfies(def.fallback_formula, &env);
+                  });
+          if (!holds.ok()) return holds.status();
           std::vector<ElemId> elements;
-          for (const auto& part : chunk_elements) {
-            elements.insert(elements.end(), part.begin(), part.end());
+          for (ElemId a = 0; a < holds->size(); ++a) {
+            if ((*holds)[a] != 0) elements.push_back(a);
           }
           structure_.AddUnarySymbol(def.name, elements);
         }
@@ -208,33 +218,16 @@ Result<std::vector<bool>> PlanExecutor::CheckAll() {
   FOCQ_CHECK(materialized_ && !plan_.is_term);
   Phase plan_phase(options_, "", node_ids_.root);
   Phase phase(options_, "residual_eval", node_ids_.residual);
-  const std::size_t n = structure_.universe_size();
-  options_.Count("residual.elements_checked", static_cast<std::int64_t>(n));
-  std::vector<Var> free = FreeVars(plan_.final_formula);
-  FOCQ_CHECK_LE(free.size(), 1u);
-  // std::vector<bool> packs bits, so concurrent writes to distinct indices
-  // race; collect into bytes and convert after the join.
-  std::vector<std::uint8_t> buffer(n, 0);
-  options_.AddTotal(ProgressPhase::kResidual, static_cast<std::int64_t>(n));
-  ParallelFor(options_.num_threads, n,
-              [&](std::size_t /*chunk*/, std::size_t begin, std::size_t end) {
-                LocalEvaluator chunk_eval(structure_, gaifman_);
-                for (std::size_t a = begin; a < end; ++a) {
-                  if (options_.ShouldStop()) return;
-                  Env env;
-                  if (!free.empty()) {
-                    env.Bind(free[0], static_cast<ElemId>(a));
-                  }
-                  buffer[a] = chunk_eval.Satisfies(plan_.final_formula, &env)
-                                  ? 1
-                                  : 0;
-                  options_.Advance(ProgressPhase::kResidual, 1);
-                }
-              });
-  if (options_.Cancelled()) return options_.DeadlineStatus();
-  std::vector<bool> out(n, false);
-  for (std::size_t a = 0; a < n; ++a) out[a] = buffer[a] != 0;
-  return out;
+  options_.Count("residual.elements_checked",
+                 static_cast<std::int64_t>(structure_.universe_size()));
+  // Bytes, not std::vector<bool>: chunks write distinct slots concurrently.
+  Result<std::vector<std::uint8_t>> holds = AtEveryElement<std::uint8_t>(
+      ProgressPhase::kResidual, FreeVars(plan_.final_formula),
+      [this](LocalEvaluator& eval, Env& env) -> Result<std::uint8_t> {
+        return eval.Satisfies(plan_.final_formula, &env);
+      });
+  if (!holds.ok()) return holds.status();
+  return std::vector<bool>(holds->begin(), holds->end());
 }
 
 Result<CountInt> PlanExecutor::TermValue() {
@@ -266,35 +259,13 @@ Result<std::vector<CountInt>> PlanExecutor::TermValues() {
     return v;
   }
   Phase phase(options_, "residual_eval", node_ids_.residual);
-  const std::size_t n = structure_.universe_size();
-  options_.Count("residual.elements_checked", static_cast<std::int64_t>(n));
-  std::vector<CountInt> out(n, 0);
-  const int workers = EffectiveThreads(options_.num_threads);
-  const std::size_t num_chunks = MakeChunkGrid(n, workers).num_chunks;
-  std::vector<Status> chunk_status(num_chunks, Status::Ok());
-  options_.AddTotal(ProgressPhase::kResidual, static_cast<std::int64_t>(n));
-  ParallelFor(workers, n,
-              [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-                LocalEvaluator chunk_eval(structure_, gaifman_);
-                for (std::size_t a = begin; a < end; ++a) {
-                  if (options_.ShouldStop()) return;
-                  Env env;
-                  env.Bind(plan_.final_free_var, static_cast<ElemId>(a));
-                  Result<CountInt> v =
-                      chunk_eval.Evaluate(plan_.final_term_residual, &env);
-                  if (!v.ok()) {
-                    chunk_status[chunk] = v.status();
-                    return;
-                  }
-                  out[a] = *v;
-                  options_.Advance(ProgressPhase::kResidual, 1);
-                }
-              });
-  if (options_.Cancelled()) return options_.DeadlineStatus();
-  for (const Status& s : chunk_status) {
-    if (!s.ok()) return s;
-  }
-  return out;
+  options_.Count("residual.elements_checked",
+                 static_cast<std::int64_t>(structure_.universe_size()));
+  return AtEveryElement<CountInt>(
+      ProgressPhase::kResidual, {&plan_.final_free_var, 1},
+      [this](LocalEvaluator& eval, Env& env) {
+        return eval.Evaluate(plan_.final_term_residual, &env);
+      });
 }
 
 }  // namespace focq

@@ -7,11 +7,12 @@
 #define FOCQ_CORE_EVALUATOR_H_
 
 #include <memory>
+#include <span>
 
 #include "focq/core/context.h"
 #include "focq/core/plan.h"
-#include "focq/cover/cover_term.h"
 #include "focq/cover/neighborhood_cover.h"
+#include "focq/locality/cl_term.h"
 #include "focq/locality/local_eval.h"
 #include "focq/obs/instruments.h"
 
@@ -65,8 +66,19 @@ class PlanExecutor {
   int explain_root() const { return node_ids_.root; }
 
  private:
+  /// Values of `term` at every element (one slot if ground), on the
+  /// configured engine: the ball engine reads the balls of exact covers as
+  /// tables, the cover engines count each basic in the clusters of a cover
+  /// of the radius it needs.
   Result<std::vector<CountInt>> EvalClTermAll(const ClTerm& term,
                                               int explain_node);
+  /// fn(eval, env) at every element a, with `vars` (at most one) bound to a
+  /// in env and one LocalEvaluator per chunk; a's value lands in slot a.
+  /// Advances `phase` per element and polls the deadline: a hard expiry
+  /// returns kDeadlineExceeded, else a failing fn its first chunk's error.
+  template <typename T, typename Fn>
+  Result<std::vector<T>> AtEveryElement(ProgressPhase phase,
+                                        std::span<const Var> vars, Fn fn);
   /// The cover for `radius` under the configured backend, from the cache.
   /// Fails with kDeadlineExceeded when the hard deadline fires during the
   /// build (the partial artifact is discarded, never cached).

@@ -471,18 +471,38 @@ void AddStats(const ClTermBallEvaluator::ExploreStats& from,
   to->placements += from.placements;
 }
 
+/// The unit count of the chunk grid that counts every anchor of
+/// `structure`: anchors, or through a view clusters.
+std::size_t Units(const Structure& structure, const ClusterView* view) {
+  return view == nullptr ? structure.universe_size() : view->clusters->size();
+}
+
 }  // namespace
 
 ClTermBallEvaluator::ClTermBallEvaluator(const Structure& structure,
                                          const Graph& gaifman,
                                          const Instruments& in,
-                                         const BallTables* tables)
+                                         const BallTables* tables,
+                                         const ClusterViews* views)
     : structure_(structure),
       gaifman_(gaifman),
       in_(in),
       tables_(tables),
+      views_(views),
       eval_(structure, gaifman, tables) {
+  FOCQ_CHECK(tables == nullptr || views == nullptr);
   in_.num_threads = EffectiveThreads(in.num_threads);
+}
+
+const ClusterView* ClTermBallEvaluator::ViewFor(
+    const BasicClTerm& basic) const {
+  if (views_ == nullptr) return nullptr;
+  const std::uint32_t radius = RequiredCoverRadius(basic);
+  auto it = views_->find(radius);
+  if (it == views_->end()) return nullptr;
+  FOCQ_CHECK_GE(it->second->radius, radius);
+  FOCQ_CHECK_EQ(it->second->anchors.size(), structure_.universe_size());
+  return it->second;
 }
 
 Result<std::vector<CountInt>> ClTermBallEvaluator::EvaluateBasicAt(
@@ -501,18 +521,17 @@ Result<std::vector<CountInt>> ClTermBallEvaluator::EvaluateBasicAt(
 
 template <typename Record>
 Status ClTermBallEvaluator::CountEveryAnchor(const BasicClTerm& basic,
-                                             const Clusters* clusters,
+                                             const ClusterView* view,
                                              Record record) {
-  const std::size_t units = clusters == nullptr ? structure_.universe_size()
-                                                : clusters->scopes.size();
+  const std::size_t units = Units(structure_, view);
   const BasicPlan plan = PlanBasic(basic, structure_);
   in_.AddTotal(ProgressPhase::kClTerm, static_cast<std::int64_t>(units));
   // Chunks record disjoint anchors or per-chunk partials and surface errors
   // in chunk order, so failure reporting is deterministic too. Each chunk
-  // worker shares the plan and the lent tables and owns its oracles and
-  // scratch (one chunk uses this evaluator's), so it confines only its own
-  // evaluator. Worker tallies land in per-chunk shards and reduce after the
-  // join, so the flushed totals match the serial run.
+  // worker shares the plan, the lent tables and the view and owns its
+  // oracles and scratch (one chunk uses this evaluator's), so it confines
+  // only its own evaluator. Worker tallies land in per-chunk shards and
+  // reduce after the join, so the flushed totals match the serial run.
   const std::size_t num_chunks =
       MakeChunkGrid(units, in_.num_threads).num_chunks;
   std::vector<Status> chunk_status(num_chunks, Status::Ok());
@@ -525,7 +544,10 @@ Status ClTermBallEvaluator::CountEveryAnchor(const BasicClTerm& basic,
                                ? &eval_
                                : &own.emplace(structure_, gaifman_, tables_);
     Placement placement(plan, eval);
+    // Polled before every anchor, a cluster's included: a cover may have a
+    // single cluster.
     auto count = [&](ElemId anchor) {
+      if (in_.ShouldStop()) return false;
       Result<CountInt> c = CountAnchored(&placement, anchor);
       if (!c.ok()) {
         chunk_status[chunk] = c.status();
@@ -536,21 +558,20 @@ Status ClTermBallEvaluator::CountEveryAnchor(const BasicClTerm& basic,
       return chunk_status[chunk].ok();
     };
     auto count_unit = [&](std::size_t u) {
-      if (clusters == nullptr) return count(static_cast<ElemId>(u));
-      const std::vector<ElemId>& unit_anchors = clusters->anchors_of[u];
-      if (unit_anchors.empty()) return true;
-      eval->Confine(clusters->scopes[u]);
-      for (ElemId anchor : unit_anchors) {
-        if (!count(anchor)) return false;
+      if (view == nullptr) return count(static_cast<ElemId>(u));
+      const std::uint32_t first = view->offsets[u], last = view->offsets[u + 1];
+      if (first == last) return true;
+      eval->Confine((*view->clusters)[u]);
+      for (std::uint32_t i = first; i < last; ++i) {
+        if (!count(view->anchors[i])) return false;
       }
       return true;
     };
     for (std::size_t u = begin; u < end; ++u) {
-      if (in_.ShouldStop()) break;
       if (!count_unit(u)) break;
       in_.Advance(ProgressPhase::kClTerm, 1);
     }
-    if (clusters != nullptr) eval->Confine({});
+    if (view != nullptr) eval->Confine({});
     anchors.Add(chunk, placement.stats.anchors);
     balls.Add(chunk, placement.stats.balls);
     placements.Add(chunk, placement.stats.placements);
@@ -561,19 +582,26 @@ Status ClTermBallEvaluator::CountEveryAnchor(const BasicClTerm& basic,
   }
   const ExploreStats delta{anchors.Total(), balls.Total(), placements.Total()};
   AddStats(delta, &explore_stats_);
-  in_.Count("clterm.basics_evaluated", 1);
+  if (view == nullptr) {
+    in_.Count("clterm.basics_evaluated", 1);
+  } else {
+    in_.Count("cover_eval.basics_evaluated", 1);
+    in_.Count("cover_eval.clusters_materialized", view->clusters_evaluated);
+    in_.Count("cover_eval.cluster_elements", view->cluster_elements);
+  }
   in_.Count("clterm.anchors_evaluated", delta.anchors);
   in_.Count("clterm.balls_fetched", delta.balls);
   in_.Count("clterm.placements_checked", delta.placements);
   return Status::Ok();
 }
 
-Result<std::vector<CountInt>> ClTermBallEvaluator::ValuesAtEveryElement(
-    const BasicClTerm& basic, const Clusters* clusters) {
+Result<std::vector<CountInt>> ClTermBallEvaluator::EvaluateBasicAll(
+    const BasicClTerm& basic) {
   FOCQ_CHECK(basic.unary);
   std::vector<CountInt> out(structure_.universe_size(), 0);
   Status status = CountEveryAnchor(
-      basic, clusters, [&out](std::size_t, ElemId anchor, CountInt count) {
+      basic, ViewFor(basic),
+      [&out](std::size_t, ElemId anchor, CountInt count) {
         out[anchor] = count;
         return true;
       });
@@ -581,30 +609,18 @@ Result<std::vector<CountInt>> ClTermBallEvaluator::ValuesAtEveryElement(
   return out;
 }
 
-Result<std::vector<CountInt>> ClTermBallEvaluator::EvaluateBasicAll(
-    const BasicClTerm& basic) {
-  return ValuesAtEveryElement(basic, nullptr);
-}
-
-Result<std::vector<CountInt>> ClTermBallEvaluator::EvaluateBasicInClusters(
-    const BasicClTerm& basic, const std::vector<std::vector<ElemId>>& clusters,
-    const std::vector<std::vector<ElemId>>& anchors_of) {
-  FOCQ_CHECK_EQ(clusters.size(), anchors_of.size());
-  const Clusters units{clusters, anchors_of};
-  return ValuesAtEveryElement(basic, &units);
-}
-
 Result<CountInt> ClTermBallEvaluator::EvaluateBasicGround(
     const BasicClTerm& basic) {
   FOCQ_CHECK(!basic.unary);
-  // Per-chunk partial counts, reduced in chunk order. Anchored counts are
-  // non-negative, so the partial sums overflow exactly when the serial
-  // running sum would: the parallel value (and error) is bit-identical.
+  // Per-chunk partial counts of anchors or clusters, reduced in chunk
+  // order. Anchored counts are non-negative, so the partial sums overflow
+  // exactly when the serial running sum would: the parallel value (and
+  // error) is bit-identical.
+  const ClusterView* view = ViewFor(basic);
   std::vector<CountInt> partial(
-      MakeChunkGrid(structure_.universe_size(), in_.num_threads).num_chunks,
-      0);
+      MakeChunkGrid(Units(structure_, view), in_.num_threads).num_chunks, 0);
   Status status = CountEveryAnchor(
-      basic, nullptr, [&partial](std::size_t chunk, ElemId, CountInt count) {
+      basic, view, [&partial](std::size_t chunk, ElemId, CountInt count) {
         auto sum = CheckedAdd(partial[chunk], count);
         if (sum) partial[chunk] = *sum;
         return sum.has_value();
@@ -681,6 +697,35 @@ Result<std::vector<CountInt>> CombineMonomials(
 std::uint32_t RequiredCoverRadius(const BasicClTerm& basic) {
   return SaturatedRadius(static_cast<std::uint64_t>(basic.width()) *
                          basic.Separation());
+}
+
+ClusterView MakeClusterView(const std::vector<std::vector<ElemId>>& clusters,
+                            std::span<const std::uint32_t> assignment,
+                            std::uint32_t radius) {
+  ClusterView view;
+  view.radius = radius;
+  view.clusters = &clusters;
+  // A counting sort over the assignment, so each cluster's anchors stay in
+  // increasing order.
+  view.offsets.assign(clusters.size() + 1, 0);
+  for (std::uint32_t c : assignment) {
+    FOCQ_CHECK_LT(c, clusters.size());
+    ++view.offsets[c + 1];
+  }
+  for (std::size_t c = 0; c < clusters.size(); ++c) {
+    if (view.offsets[c + 1] > 0) {
+      ++view.clusters_evaluated;
+      view.cluster_elements += static_cast<std::int64_t>(clusters[c].size());
+    }
+    view.offsets[c + 1] += view.offsets[c];
+  }
+  std::vector<std::uint32_t> next(view.offsets.begin(),
+                                  view.offsets.end() - 1);
+  view.anchors.resize(assignment.size());
+  for (ElemId a = 0; a < assignment.size(); ++a) {
+    view.anchors[next[assignment[a]]++] = a;
+  }
+  return view;
 }
 
 std::set<std::uint32_t> BallRadii(const ClTerm& term) {

@@ -21,6 +21,7 @@
 #define FOCQ_LOCALITY_CL_TERM_H_
 
 #include <cstdint>
+#include <map>
 #include <set>
 #include <span>
 #include <vector>
@@ -96,7 +97,7 @@ class ClTerm {
 /// Combines per-factor values into cl-term values: for each of `slots`
 /// positions, value = sum_m coeff_m * prod factors. A factor value vector of
 /// size 1 is broadcast (ground factor); otherwise it must have `slots`
-/// entries. Shared by the ball- and cover-based evaluators.
+/// entries. Shared by ClTermBallEvaluator and the removal engine.
 Result<std::vector<CountInt>> CombineMonomials(
     const ClTerm& term, const std::vector<std::vector<CountInt>>& factor_values,
     std::size_t slots);
@@ -106,6 +107,54 @@ Result<std::vector<CountInt>> CombineMonomials(
 /// neighbourhood and all pattern-distance witness paths -- inside the
 /// anchor's cluster: k * (2r+1).
 std::uint32_t RequiredCoverRadius(const BasicClTerm& basic);
+
+/// The clusters of one neighbourhood cover with their anchors, lent to
+/// ClTermBallEvaluator so that it counts each anchor a in the structure
+/// B_X = A[X] of its cluster X = X(a): step 5 of the Section 8.2 main
+/// algorithm, "evaluate t(x1) in the structures B_X for all X in X",
+/// without the rank-preserving type expansions (substitution #3 in
+/// DESIGN.md).
+///
+/// B_X is a view, not a copy. The basic is planned once per call on A, with
+/// global ids: kernel atoms probe A, and every ball the count reads (the
+/// balls that place the pattern, dist atoms, ball guards) is explored by a
+/// BFS confined to the subgraph of A's Gaifman graph induced on X (see
+/// LocalEvaluator::Confine). This is exact:
+///  * The covering radius R is at least RequiredCoverRadius(basic) =
+///    k(2r+1), so X contains N_R(a), and every element a placement, a dist
+///    atom or a guard reaches lies within R-1 of a. An atom over elements of
+///    X holds in A[X] iff it holds in A.
+///  * For relations of arity <= 2 the induced subgraph is Gaifman(A[X]). A
+///    wider tuple with members both inside and outside X gives the induced
+///    subgraph edges between its inside members that Gaifman(A[X]) lacks;
+///    but an inside member adjacent to an outside one lies at distance >= R
+///    from a, and no ball the count reads expands a vertex that far out.
+/// With a valid cover, confinement never changes an answer. It keeps the
+/// cover engine a check on the covers: a cluster that misses part of
+/// N_R(a) can change the counts (tests/cover_test.cc pins that each cluster
+/// is evaluated inside B_X).
+struct ClusterView {
+  std::uint32_t radius = 0;  // the cover's covering radius R
+  const std::vector<std::vector<ElemId>>* clusters = nullptr;  // borrowed
+  // The anchors of cluster c, increasing: anchors[offsets[c] ..
+  // offsets[c + 1]). Every element is the anchor of exactly one cluster.
+  std::vector<std::uint32_t> offsets;
+  std::vector<ElemId> anchors;
+  // The clusters with at least one anchor, and their total size.
+  std::int64_t clusters_evaluated = 0;
+  std::int64_t cluster_elements = 0;
+};
+
+/// The view of a cover with these sorted clusters, this assignment (the
+/// cluster of each element) and covering radius. `clusters` must outlive
+/// the view.
+ClusterView MakeClusterView(const std::vector<std::vector<ElemId>>& clusters,
+                            std::span<const std::uint32_t> assignment,
+                            std::uint32_t radius);
+
+/// Cluster views lent to evaluators, keyed by the RequiredCoverRadius of
+/// the basics each one counts. Borrowed and read-only, like BallTables.
+using ClusterViews = std::map<std::uint32_t, const ClusterView*>;
 
 /// Radii at which ClTermBallEvaluator reads balls for `term`: the
 /// separation 2r+1 of every basic of width at least 2, and every dist bound
@@ -147,9 +196,9 @@ std::set<std::uint32_t> BallRadii(const ClTerm& term);
 /// same cluster.
 ///
 /// Thread-compatible, not thread-safe (mutable oracle/index caches). With
-/// num_threads > 1 the per-anchor loop of EvaluateBasicAll /
-/// EvaluateBasicGround, and the per-cluster loop of EvaluateBasicInClusters,
-/// fan out over chunk workers that share the plan and the lent ball tables
+/// num_threads > 1 the per-anchor (or, through a view, per-cluster) loop of
+/// EvaluateBasicAll / EvaluateBasicGround fans out over chunk workers that
+/// share the plan, the lent ball tables and the lent cluster views
 /// read-only and keep their own oracles and scratch; partial counts are
 /// reduced in chunk order with checked arithmetic, so the result is
 /// bit-identical to the serial evaluation.
@@ -169,17 +218,26 @@ class ClTermBallEvaluator {
   };
 
   /// `gaifman` must be the Gaifman graph of `structure`. The handle's
-  /// thread count controls the per-anchor fan-out. EvaluateBasicAll /
-  /// EvaluateBasicGround flush the clterm.* counters accumulated during the
-  /// call to its metrics sink, advance the kClTerm phase per anchor and poll
-  /// the deadline; a hard expiry makes them return kDeadlineExceeded. With
-  /// `tables` lent, separation balls and kernel distances of a radius that
-  /// has a table are read from it instead of explored; results are the same
-  /// either way. The tables must be balls of `gaifman` and outlive the
-  /// evaluator.
+  /// thread count controls the fan-out. EvaluateBasicAll /
+  /// EvaluateBasicGround flush the counters accumulated during the call to
+  /// its metrics sink, advance the kClTerm phase per anchor and poll the
+  /// deadline per anchor; a hard expiry makes them return
+  /// kDeadlineExceeded. With `tables` lent, separation balls and kernel
+  /// distances of a radius that has a table are read from it instead of
+  /// explored; results are the same either way. The tables must be balls of
+  /// `gaifman` and outlive the evaluator.
+  ///
+  /// With `views` lent, a basic whose RequiredCoverRadius has a view, whose
+  /// radius must be at least that, is counted cluster by cluster through it
+  /// (see ClusterView): the kClTerm progress unit is then a cluster, and the
+  /// call flushes cover_eval.* counters where the anchor-by-anchor count
+  /// flushes clterm.basics_evaluated. Confinement reads no tables, so
+  /// tables and views cannot be lent together. The views must be views of
+  /// covers of `gaifman` and outlive the evaluator.
   ClTermBallEvaluator(const Structure& structure, const Graph& gaifman,
                       const Instruments& in = {},
-                      const BallTables* tables = nullptr);
+                      const BallTables* tables = nullptr,
+                      const ClusterViews* views = nullptr);
 
   /// Cumulative exploration work since construction (includes per-call
   /// EvaluateBasicAt work, which has no flush boundary of its own).
@@ -187,17 +245,6 @@ class ClTermBallEvaluator {
 
   /// Values of a unary basic cl-term at every element of the universe.
   Result<std::vector<CountInt>> EvaluateBasicAll(const BasicClTerm& basic);
-
-  /// Values of a unary basic cl-term at every element, counted cluster by
-  /// cluster: the anchors anchors_of[c] are counted with every ball they
-  /// read explored inside the subgraph induced on clusters[c] (see
-  /// LocalEvaluator::Confine), while kernel atoms probe the structure
-  /// itself. Each element must be in exactly one anchors_of[c], and no
-  /// tables may be lent. The kClTerm progress unit is a cluster.
-  Result<std::vector<CountInt>> EvaluateBasicInClusters(
-      const BasicClTerm& basic,
-      const std::vector<std::vector<ElemId>>& clusters,
-      const std::vector<std::vector<ElemId>>& anchors_of);
 
   /// Values of `basic` at each of `anchors` (pattern placements anchored at
   /// y1 = anchor; the unary flag is ignored), serially, with one plan for
@@ -216,30 +263,24 @@ class ClTermBallEvaluator {
   Result<std::vector<CountInt>> EvaluateAll(const ClTerm& term);
 
  private:
-  /// The clusters of EvaluateBasicInClusters.
-  struct Clusters {
-    const std::vector<std::vector<ElemId>>& scopes;
-    const std::vector<std::vector<ElemId>>& anchors_of;
-  };
+  /// The lent view `basic` is counted through, or null.
+  const ClusterView* ViewFor(const BasicClTerm& basic) const;
 
-  /// The planned placement loop behind EvaluateBasicAll, EvaluateBasicGround
-  /// and EvaluateBasicInClusters: plans `basic` once, counts the placements
-  /// anchored at every element on the chunk grid and hands each count to
+  /// The planned placement loop behind EvaluateBasicAll and
+  /// EvaluateBasicGround: plans `basic` once, counts the placements anchored
+  /// at every element on the chunk grid and hands each count to
   /// record(chunk, anchor, count), which returns false on int64 overflow.
-  /// The grid's unit is an anchor, or with `clusters` a cluster, whose
-  /// worker confines its evaluator to the cluster for the cluster's anchors.
+  /// The grid's unit is an anchor, or with `view` a cluster, whose worker
+  /// confines its evaluator to the cluster for the cluster's anchors.
   template <typename Record>
-  Status CountEveryAnchor(const BasicClTerm& basic, const Clusters* clusters,
+  Status CountEveryAnchor(const BasicClTerm& basic, const ClusterView* view,
                           Record record);
-
-  /// The values of EvaluateBasicAll and EvaluateBasicInClusters.
-  Result<std::vector<CountInt>> ValuesAtEveryElement(const BasicClTerm& basic,
-                                                     const Clusters* clusters);
 
   const Structure& structure_;
   const Graph& gaifman_;
   Instruments in_;  // num_threads resolved to the effective worker count
   const BallTables* tables_;
+  const ClusterViews* views_;
   LocalEvaluator eval_;
   ExploreStats explore_stats_;
 };

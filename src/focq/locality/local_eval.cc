@@ -8,66 +8,29 @@
 namespace focq {
 namespace {
 
-/// A detected ball guard of a quantifier.
-struct Guard {
-  Var anchor = 0;
-  std::uint32_t d = 0;
-  bool found = false;
-};
-
-// Looks for a conjunct dist(y, x) <= d (either variable order) among
-// `conjuncts`, with x != y. For forall, callers pass the disjuncts of the
-// body and look for !dist(y,x)<=d instead.
-Guard FindExistsGuard(const Expr& body, Var y) {
-  Guard g;
-  auto inspect = [&g, y](const Expr& atom) {
-    if (atom.kind != ExprKind::kDistAtom) return;
-    Var a = atom.vars[0], b = atom.vars[1];
-    if (a == y && b != y) {
-      g.anchor = b;
-      g.d = atom.dist_bound;
-      g.found = true;
-    } else if (b == y && a != y) {
-      g.anchor = a;
-      g.d = atom.dist_bound;
-      g.found = true;
+// The ball guard of a quantifier over y with body `body`: the first
+// dist(y, x) <= d (either variable order, x != y) that is the body or one of
+// its conjuncts (exists), or whose negation is the body or one of its
+// disjuncts (forall).
+BallGuard MatchGuard(const Expr& body, Var y, bool is_exists) {
+  auto match = [y, is_exists](const Expr& e) -> BallGuard {
+    const Expr* atom = &e;
+    if (!is_exists) {
+      if (e.kind != ExprKind::kNot) return {};
+      atom = e.children[0].get();
     }
+    if (atom->kind != ExprKind::kDistAtom) return {};
+    const Var a = atom->vars[0], b = atom->vars[1];
+    if (a == b || (a != y && b != y)) return {};
+    return {a == y ? b : a, atom->dist_bound, true};
   };
-  if (body.kind == ExprKind::kDistAtom) {
-    inspect(body);
-  } else if (body.kind == ExprKind::kAnd) {
-    for (const ExprRef& c : body.children) {
-      if (!g.found) inspect(*c);
-    }
+  if (body.kind != (is_exists ? ExprKind::kAnd : ExprKind::kOr)) {
+    return match(body);
   }
-  return g;
-}
-
-Guard FindForallGuard(const Expr& body, Var y) {
-  Guard g;
-  auto inspect = [&g, y](const Expr& child) {
-    if (child.kind != ExprKind::kNot) return;
-    const Expr& atom = *child.children[0];
-    if (atom.kind != ExprKind::kDistAtom) return;
-    Var a = atom.vars[0], b = atom.vars[1];
-    if (a == y && b != y) {
-      g.anchor = b;
-      g.d = atom.dist_bound;
-      g.found = true;
-    } else if (b == y && a != y) {
-      g.anchor = a;
-      g.d = atom.dist_bound;
-      g.found = true;
-    }
-  };
-  if (body.kind == ExprKind::kNot) {
-    inspect(body);
-  } else if (body.kind == ExprKind::kOr) {
-    for (const ExprRef& c : body.children) {
-      if (!g.found) inspect(*c);
-    }
+  for (const ExprRef& c : body.children) {
+    if (BallGuard g = match(*c); g.found) return g;
   }
-  return g;
+  return {};
 }
 
 }  // namespace
@@ -75,12 +38,8 @@ Guard FindForallGuard(const Expr& body, Var y) {
 BallGuard DetectGuard(const Expr& quantifier_node) {
   FOCQ_CHECK(quantifier_node.kind == ExprKind::kExists ||
              quantifier_node.kind == ExprKind::kForall);
-  const Expr& body = *quantifier_node.children[0];
-  Var y = quantifier_node.vars[0];
-  Guard g = quantifier_node.kind == ExprKind::kExists
-                ? FindExistsGuard(body, y)
-                : FindForallGuard(body, y);
-  return BallGuard{g.anchor, g.d, g.found};
+  return MatchGuard(*quantifier_node.children[0], quantifier_node.vars[0],
+                    quantifier_node.kind == ExprKind::kExists);
 }
 
 std::optional<std::uint32_t> SyntacticLocalityRadius(const Expr& e) {
@@ -106,11 +65,9 @@ std::optional<std::uint32_t> SyntacticLocalityRadius(const Expr& e) {
     }
     case ExprKind::kExists:
     case ExprKind::kForall: {
-      const Expr& body = *e.children[0];
-      Guard g = e.kind == ExprKind::kExists ? FindExistsGuard(body, e.vars[0])
-                                            : FindForallGuard(body, e.vars[0]);
+      BallGuard g = DetectGuard(e);
       if (!g.found) return std::nullopt;
-      std::optional<std::uint32_t> rb = SyntacticLocalityRadius(body);
+      std::optional<std::uint32_t> rb = SyntacticLocalityRadius(*e.children[0]);
       if (!rb) return std::nullopt;
       return SaturatedRadius(std::uint64_t{g.d} + *rb);
     }
@@ -317,7 +274,7 @@ std::optional<std::vector<ElemId>> LocalEvaluator::ForallCandidatesFor(
 bool LocalEvaluator::EvalQuantifier(const Expr& e, Env* env, bool is_exists) {
   Var y = e.vars[0];
   const Expr& body = *e.children[0];
-  Guard g = is_exists ? FindExistsGuard(body, y) : FindForallGuard(body, y);
+  BallGuard g = DetectGuard(e);
 
   bool was_bound = env->IsBound(y);
   ElemId old = was_bound ? env->Get(y) : 0;
@@ -467,7 +424,7 @@ std::optional<CountInt> LocalEvaluator::EvalTerm(const Expr& e, Env* env) {
       const std::vector<Var>& ys = e.vars;
       const Expr& body = *e.children[0];
       if (ys.size() == 1) {
-        Guard g = FindExistsGuard(body, ys[0]);
+        BallGuard g = MatchGuard(body, ys[0], /*is_exists=*/true);
         if (g.found && env->IsBound(g.anchor)) {
           Var y = ys[0];
           bool was_bound = env->IsBound(y);
@@ -540,7 +497,7 @@ void LocalEvaluator::CountRec(const Expr& body, const std::vector<Var>& binders,
     }
     if (env->IsBound(y)) env->Unbind(y);
   };
-  Guard g = FindExistsGuard(body, y);
+  BallGuard g = MatchGuard(body, y, /*is_exists=*/true);
   if (g.found && env->IsBound(g.anchor)) {
     const std::vector<ElemId>& ball =
         OracleFor(g.d).BallOf(env->Get(g.anchor));

@@ -1,8 +1,8 @@
 #include <gtest/gtest.h>
 
-#include "focq/cover/cover_term.h"
 #include "focq/cover/neighborhood_cover.h"
 #include "focq/graph/generators.h"
+#include "focq/locality/cl_term.h"
 #include "focq/locality/decompose.h"
 #include "focq/structure/encode.h"
 #include "focq/structure/gaifman.h"
@@ -68,7 +68,32 @@ TEST(SparseCover, CentersFarApart) {
   }
 }
 
-// The cover-based cl-term evaluator must agree with the ball-based one
+// One cover's view, lent for every basic of `term`: its radius must be at
+// least each basic's RequiredCoverRadius.
+ClusterViews ViewForEveryBasic(const ClTerm& term, const ClusterView& view) {
+  ClusterViews views;
+  for (const BasicClTerm& b : term.basics()) {
+    views.emplace(RequiredCoverRadius(b), &view);
+  }
+  return views;
+}
+
+// A view lists each cluster's anchors in increasing element order, and
+// counts only the clusters that some element is assigned to.
+TEST(CoverEvaluator, ViewListsEachClustersAnchorsInOrder) {
+  const std::vector<std::vector<ElemId>> clusters = {
+      {0, 1, 2, 3}, {2, 3, 4}, {3, 4, 5, 6}, {5, 6}};
+  const std::vector<std::uint32_t> assignment = {0, 0, 1, 2, 1, 2, 2};
+  const ClusterView view = MakeClusterView(clusters, assignment, 3);
+  EXPECT_EQ(view.radius, 3u);
+  EXPECT_EQ(view.clusters, &clusters);
+  EXPECT_EQ(view.offsets, (std::vector<std::uint32_t>{0, 2, 4, 7, 7}));
+  EXPECT_EQ(view.anchors, (std::vector<ElemId>{0, 1, 2, 4, 3, 5, 6}));
+  EXPECT_EQ(view.clusters_evaluated, 3);
+  EXPECT_EQ(view.cluster_elements, 4 + 3 + 4);
+}
+
+// Counting through cluster views must agree with counting anchor by anchor
 // (and hence with the naive semantics) whenever the cover is wide enough.
 TEST(CoverEvaluator, AgreesWithBallEvaluator) {
   Rng rng(1600);
@@ -93,7 +118,10 @@ TEST(CoverEvaluator, AgreesWithBallEvaluator) {
     for (bool sparse : {false, true}) {
       NeighborhoodCover cover = sparse ? SparseCover(gaifman, needed)
                                        : ExactBallCover(gaifman, needed);
-      ClTermCoverEvaluator cov(a, gaifman, cover);
+      const ClusterView view =
+          MakeClusterView(cover.clusters, cover.assignment, cover.r);
+      const ClusterViews views = ViewForEveryBasic(d->term, view);
+      ClTermBallEvaluator cov(a, gaifman, {}, nullptr, &views);
       Result<std::vector<CountInt>> actual = cov.EvaluateAll(d->term);
       ASSERT_TRUE(actual.ok());
       EXPECT_EQ(*actual, *expected) << "sparse=" << sparse;
@@ -141,9 +169,13 @@ TEST(CoverEvaluator, EvaluatesInsideEachCluster) {
         ASSERT_TRUE(v.ok());
         expected[x] = (*v)[0];
       }
-      cover.r = RequiredCoverRadius(b);
+      const std::uint32_t radius = RequiredCoverRadius(b);
+      const ClusterView cluster_view =
+          MakeClusterView(cover.clusters, cover.assignment, radius);
+      const ClusterViews views = {{radius, &cluster_view}};
       for (int threads : {1, 4}) {
-        ClTermCoverEvaluator cov(a, gaifman, cover, {.num_threads = threads});
+        ClTermBallEvaluator cov(a, gaifman, {.num_threads = threads}, nullptr,
+                                &views);
         Result<std::vector<CountInt>> actual = cov.EvaluateBasicAll(b);
         ASSERT_TRUE(actual.ok());
         EXPECT_EQ(*actual, expected)
@@ -167,8 +199,17 @@ TEST(CoverEvaluator, GroundTermsAgree) {
     needed = std::max(needed, RequiredCoverRadius(b));
   }
   NeighborhoodCover cover = SparseCover(gaifman, needed);
-  ClTermCoverEvaluator cov(a, gaifman, cover);
-  EXPECT_EQ(*cov.EvaluateGround(d->term), *ball.EvaluateGround(d->term));
+  const ClusterView view =
+      MakeClusterView(cover.clusters, cover.assignment, cover.r);
+  const ClusterViews views = ViewForEveryBasic(d->term, view);
+  // Through a view the ground count reduces per-chunk partials over
+  // clusters.
+  for (int threads : {1, 4}) {
+    ClTermBallEvaluator cov(a, gaifman, {.num_threads = threads}, nullptr,
+                            &views);
+    EXPECT_EQ(*cov.EvaluateGround(d->term), *ball.EvaluateGround(d->term))
+        << "threads " << threads;
+  }
 }
 
 }  // namespace

@@ -50,6 +50,23 @@ TEST(LocalityRadius, GuardDetection) {
   // Self-guard dist(z, z) <= d is not a guard.
   Formula self = Exists(z, And(DistAtMost(z, z, 1), Atom("R", {z})));
   EXPECT_FALSE(DetectGuard(self.node()).found);
+  // With several guards the first conjunct (disjunct, for forall) wins,
+  // written either way round; its bound is the radius locality adds.
+  Var w = VarNamed("lw");
+  Formula two = Exists(z, And({Atom("R", {z}), DistAtMost(x, z, 4),
+                               DistAtMost(z, w, 1)}));
+  BallGuard first = DetectGuard(two.node());
+  EXPECT_TRUE(first.found);
+  EXPECT_EQ(first.anchor, x);
+  EXPECT_EQ(first.d, 4u);
+  EXPECT_EQ(SyntacticLocalityRadius(two), 6u);  // 4 + ceil(4/2)
+  Formula two_forall =
+      Forall(z, Or({Atom("R", {z}), Not(DistAtMost(w, z, 5)),
+                    Not(DistAtMost(z, x, 2))}));
+  BallGuard first_forall = DetectGuard(two_forall.node());
+  EXPECT_TRUE(first_forall.found);
+  EXPECT_EQ(first_forall.anchor, w);
+  EXPECT_EQ(first_forall.d, 5u);
 }
 
 // The locality property itself: evaluating a guarded kernel on N_r(a-bar)

@@ -11,6 +11,7 @@
 #include "focq/core/api.h"
 #include "focq/eval/query.h"
 #include "focq/graph/generators.h"
+#include "focq/locality/cl_term.h"
 #include "focq/logic/build.h"
 #include "focq/obs/metrics.h"
 #include "focq/obs/trace.h"
@@ -275,6 +276,78 @@ TEST(Observability, CountersIdenticalAcrossThreadCounts) {
       EXPECT_EQ(*count, reference_count) << "threads=" << threads;
       EXPECT_EQ(snap.counters, reference.counters) << "threads=" << threads;
       EXPECT_EQ(snap.values, reference.values) << "threads=" << threads;
+    }
+  }
+}
+
+TEST(Observability, CoverEngineCountersFollowItsCovers) {
+  // The cover engine counts every basic through the clusters of the cover of
+  // its RequiredCoverRadius: once per basic, each cluster that some element
+  // is assigned to, each element as the anchor of exactly one cluster.
+  Rng rng(4250);
+  Structure a = test::RandomColoredStructure(60, 1.5, 0.4, &rng);
+  Var x = VarNamed("ocx"), y = VarNamed("ocy"), z = VarNamed("ocz");
+  // Paths x-y-z ending in R: basics of widths 1 to 3, so covers of three
+  // radii.
+  Term paths = Count(
+      {x, y, z}, And({Atom("E", {x, y}), Atom("E", {y, z}), Atom("R", {z})}));
+  Result<EvalPlan> plan = CompileTerm(paths, a.signature());
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  ASSERT_TRUE(plan->final_term_decomposed);
+  std::vector<BasicClTerm> basics = plan->final_cl_term.basics();
+  for (const auto& layer : plan->layers) {
+    for (const LayerRelationDef& def : layer) {
+      for (const ClTerm& arg : def.args) {
+        basics.insert(basics.end(), arg.basics().begin(), arg.basics().end());
+      }
+    }
+  }
+  const auto num_basics = static_cast<std::int64_t>(basics.size());
+  ASSERT_GT(num_basics, 1);
+
+  for (TermEngine te : {TermEngine::kSparseCover, TermEngine::kExactCover,
+                        TermEngine::kBall}) {
+    for (int threads : {1, 4}) {
+      MetricsSink metrics;
+      EvalOptions options;
+      options.term_engine = te;
+      options.num_threads = threads;
+      options.metrics = &metrics;
+      Session session(a, options);
+      ASSERT_TRUE(session.EvaluateGroundTerm(paths).ok());
+      const std::map<std::string, std::int64_t> counters =
+          metrics.Snapshot().counters;
+      EXPECT_EQ(counters.at("clterm.anchors_evaluated"),
+                static_cast<std::int64_t>(a.universe_size()) * num_basics)
+          << "threads=" << threads;
+      if (te == TermEngine::kBall) {
+        EXPECT_EQ(counters.at("clterm.basics_evaluated"), num_basics);
+        for (const auto& [name, value] : counters) {
+          EXPECT_FALSE(name.starts_with("cover_eval.")) << name;
+        }
+        continue;
+      }
+      const CoverBackend backend = te == TermEngine::kExactCover
+                                       ? CoverBackend::kExact
+                                       : CoverBackend::kSparse;
+      std::int64_t clusters = 0, elements = 0;
+      for (const BasicClTerm& b : basics) {
+        const NeighborhoodCover& cover =
+            session.context().Cover(RequiredCoverRadius(b), backend);
+        std::vector<bool> assigned(cover.NumClusters(), false);
+        for (std::uint32_t c : cover.assignment) assigned[c] = true;
+        for (std::size_t c = 0; c < cover.NumClusters(); ++c) {
+          if (!assigned[c]) continue;
+          ++clusters;
+          elements += static_cast<std::int64_t>(cover.clusters[c].size());
+        }
+      }
+      EXPECT_EQ(counters.at("cover_eval.basics_evaluated"), num_basics);
+      EXPECT_EQ(counters.at("cover_eval.clusters_materialized"), clusters)
+          << "threads=" << threads;
+      EXPECT_EQ(counters.at("cover_eval.cluster_elements"), elements)
+          << "threads=" << threads;
+      EXPECT_EQ(counters.count("clterm.basics_evaluated"), 0u);
     }
   }
 }

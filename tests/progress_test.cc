@@ -237,6 +237,39 @@ TEST(CancellationTest, LocalEngineHardDeadlineReturnsCleanStatus) {
   }
 }
 
+TEST(CancellationTest, CoverEngineStopsInsideOneCluster) {
+  // A clique's sparse cover is a single cluster, so a count that polled the
+  // deadline only between clusters would run to the end past any budget.
+  // The covers are built first, without a deadline, so the budget expires
+  // while the triangles are counted.
+  Structure a = EncodeGraph(MakeClique(200));
+  Var x = VarNamed("kx"), y = VarNamed("ky"), z = VarNamed("kz");
+  Term triangles = Count(
+      {x, y, z},
+      And({Atom("E", {x, y}), Atom("E", {y, z}), Atom("E", {x, z})}));
+
+  for (int threads : {1, 4}) {
+    ProgressSink sink;
+    EvalOptions options;
+    options.term_engine = TermEngine::kSparseCover;
+    options.num_threads = threads;
+    options.progress = &sink;
+    options.deadline = Deadline{0, 1};
+    Session session(a, options);
+    for (std::uint32_t r : {1u, 2u, 3u}) {
+      ASSERT_EQ(session.context().Cover(r, CoverBackend::kSparse).NumClusters(),
+                1u);
+    }
+    Result<CountInt> got = session.EvaluateGroundTerm(triangles);
+    ASSERT_FALSE(got.ok()) << "threads=" << threads;
+    EXPECT_EQ(got.status().code(), StatusCode::kDeadlineExceeded)
+        << got.status().ToString();
+    const PhaseProgress cl_term =
+        sink.Snapshot()[static_cast<int>(ProgressPhase::kClTerm)];
+    EXPECT_LT(cl_term.done, cl_term.total) << "threads=" << threads;
+  }
+}
+
 // --- End-to-end: no partial cache writes; warm-after-cancel == cold --------
 
 TEST(CancellationTest, WarmRunAfterCancellationMatchesColdRun) {
