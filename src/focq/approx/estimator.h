@@ -50,7 +50,7 @@ namespace focq {
 
 /// The instrumentation handle of one evaluation plus its stratification
 /// (borrowed, optional): `strata` non-null switches stratified sampling on;
-/// it must be the radius-`stratify_radius` typing of the evaluated
+/// it must be the radius-kApproxStratifyRadius typing of the evaluated
 /// structure.
 struct ApproxEvalHooks : Instruments {
   const SphereTypeAssignment* strata = nullptr;

@@ -11,6 +11,10 @@
 
 namespace focq {
 
+/// The radius of the Hanf sphere types that stratified sampling
+/// (ApproxParams::stratify) draws its strata from.
+inline constexpr std::uint32_t kApproxStratifyRadius = 1;
+
 /// Accuracy contract and seeding of Engine::kApprox. A counting binder
 /// #(y1..yk).phi ranges over a frame of n^k assignments; the estimator draws
 /// m = ApproxSampleBudget(eps, delta) uniform assignments and scales the hit
@@ -24,14 +28,13 @@ struct ApproxParams {
   double eps = 0.1;     // relative/frame error target, in (0, 1)
   double delta = 0.01;  // per-binder failure probability, in (0, 1)
   std::uint64_t seed = 1;
-  // Stratify the first sampled coordinate by radius-`stratify_radius` Hanf
-  // sphere type (reusing the typing cached in EvalContext when available):
-  // per-type subframes are sampled proportionally, which removes the
-  // between-type variance component. Changes which assignments are drawn, so
-  // it is a distinct (still deterministic) estimator, not a transparent
-  // speedup — hence opt-in.
+  // Stratify the first sampled coordinate by radius-kApproxStratifyRadius
+  // Hanf sphere type (reusing the typing cached in EvalContext when
+  // available): per-type subframes are sampled proportionally, which removes
+  // the between-type variance component. Changes which assignments are
+  // drawn, so it is a distinct (still deterministic) estimator, not a
+  // transparent speedup — hence opt-in.
   bool stratify = false;
-  std::uint32_t stratify_radius = 1;
 };
 
 /// kInvalidArgument unless eps and delta both lie strictly inside (0, 1).

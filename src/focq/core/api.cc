@@ -1,9 +1,6 @@
 #include "focq/core/api.h"
 
-#include <algorithm>
-#include <functional>
 #include <optional>
-#include <set>
 
 #include "focq/approx/estimator.h"
 #include "focq/eval/naive_eval.h"
@@ -84,7 +81,7 @@ Status PrepareApprox(const EvalOptions& options, const Instruments& call,
   FOCQ_RETURN_IF_ERROR(ValidateApproxParams(options.approx));
   setup->hooks = {call, nullptr};
   if (!options.approx.stratify) return Status::Ok();
-  const std::uint32_t r = options.approx.stratify_radius;
+  const std::uint32_t r = kApproxStratifyRadius;
   if (EvalContext* context = UsableContext(options, a); context != nullptr) {
     const bool reused = context->CachedSphereTypes(r) != nullptr;
     Result<const SphereTypeAssignment*> typing =
@@ -267,11 +264,12 @@ Result<QueryResult> EvaluateUnaryQueryLocal(const Foc1Query& q,
   return result;
 }
 
-// Multi-variable heads: enumerate candidate head tuples. If the condition
-// (below an exists-prefix) has a conjunct atom covering all head variables,
-// its relation's rows drive the enumeration (the SQL join/group-by shape);
-// otherwise sweep A^k. Either way every candidate is verified against the
-// full condition with the guard-and-index-aware LocalEvaluator.
+// Multi-variable heads: LocalEvaluator::CandidateTuples lists the candidate
+// head tuples, binding the head variables in turn as counting binders of the
+// condition (ball guard, then the most selective atom or equality, then the
+// universe), so a condition with a relational join visits index lookups
+// rather than A^k. Every candidate is then verified against the full
+// condition with the guard-and-index-aware LocalEvaluator.
 Result<QueryResult> EvaluateMultiQueryLocal(const Foc1Query& q,
                                             const Structure& a,
                                             const EvalOptions& options) {
@@ -286,88 +284,30 @@ Result<QueryResult> EvaluateMultiQueryLocal(const Foc1Query& q,
       options, "",
       options.NewNode("candidate-verify", std::to_string(k) + " head vars"));
 
-  // Find a driver atom.
-  const Expr* scope = &q.condition.node();
-  while (scope->kind == ExprKind::kExists) scope = scope->children[0].get();
-  std::vector<const Expr*> conjuncts;
-  if (scope->kind == ExprKind::kAnd) {
-    for (const ExprRef& c : scope->children) conjuncts.push_back(c.get());
-  } else {
-    conjuncts.push_back(scope);
-  }
-  const Expr* driver = nullptr;
-  for (const Expr* c : conjuncts) {
-    if (c->kind != ExprKind::kAtom) continue;
-    bool covers = true;
-    for (Var h : q.head_vars) {
-      if (std::find(c->vars.begin(), c->vars.end(), h) == c->vars.end()) {
-        covers = false;
-        break;
-      }
-    }
-    if (covers) {
-      driver = c;
-      break;
-    }
-  }
-
-  std::set<Tuple> candidates;
-  if (driver != nullptr) {
-    std::optional<SymbolId> id = a.signature().Find(driver->symbol_name);
-    FOCQ_CHECK(id.has_value());
-    Tuple head(k);
-    for (TupleRef t : a.relation(*id).tuples()) {
-      bool consistent = true;
-      for (std::size_t i = 0; i < k && consistent; ++i) {
-        std::optional<ElemId> value;
-        for (std::size_t pos = 0; pos < driver->vars.size(); ++pos) {
-          if (driver->vars[pos] != q.head_vars[i]) continue;
-          if (value.has_value() && *value != t[pos]) consistent = false;
-          value = t[pos];
-        }
-        if (consistent) head[i] = *value;
-      }
-      if (consistent) candidates.insert(head);
-    }
-  } else {
-    // Full sweep (correct but Theta(n^k)); only reached for conditions
-    // without a covering atom.
-    Tuple head(k, 0);
-    std::function<void(std::size_t)> sweep = [&](std::size_t i) {
-      if (i == k) {
-        candidates.insert(head);
-        return;
-      }
-      for (ElemId e = 0; e < a.universe_size(); ++e) {
-        head[i] = e;
-        sweep(i + 1);
-      }
-    };
-    sweep(0);
-  }
+  const std::vector<Tuple> candidates =
+      LocalEvaluator(a, gaifman).CandidateTuples(q.condition, q.head_vars);
 
   // Verify candidates in parallel: each chunk checks its share of the
   // (sorted) candidate list with a private evaluator and collects rows into
   // a private vector; concatenating those in chunk order reproduces the
   // serial row order exactly.
-  std::vector<Tuple> ordered(candidates.begin(), candidates.end());
   options.Count("query.candidates_verified",
-                static_cast<std::int64_t>(ordered.size()));
+                static_cast<std::int64_t>(candidates.size()));
   const int workers = EffectiveThreads(options.num_threads);
   const std::size_t num_chunks =
-      MakeChunkGrid(ordered.size(), workers).num_chunks;
+      MakeChunkGrid(candidates.size(), workers).num_chunks;
   std::vector<std::vector<QueryRow>> chunk_rows(num_chunks);
   std::vector<Status> chunk_status(num_chunks, Status::Ok());
   options.AddTotal(ProgressPhase::kResidual,
-                   static_cast<std::int64_t>(ordered.size()));
+                   static_cast<std::int64_t>(candidates.size()));
   ParallelFor(
-      workers, ordered.size(),
+      workers, candidates.size(),
       [&](std::size_t chunk, std::size_t begin, std::size_t end) {
         LocalEvaluator eval(a, gaifman);
         for (std::size_t c = begin; c < end; ++c) {
           if (options.ShouldStop()) return;  // drain on hard deadline
           options.Advance(ProgressPhase::kResidual, 1);
-          const Tuple& head = ordered[c];
+          const Tuple& head = candidates[c];
           Env env;
           for (std::size_t i = 0; i < k; ++i) {
             env.Bind(q.head_vars[i], head[i]);

@@ -62,9 +62,6 @@ class PlanExecutor {
   Result<CountInt> TermValue();                  // ground
   Result<std::vector<CountInt>> TermValues();    // unary: value per element
 
-  /// The explain node of this executor's plan (-1 when no sink installed).
-  int explain_root() const { return node_ids_.root; }
-
  private:
   /// Values of `term` at every element (one slot if ground), on the
   /// configured engine: the ball engine reads the balls of exact covers as

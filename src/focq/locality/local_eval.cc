@@ -129,10 +129,6 @@ void LocalEvaluator::Confine(std::span<const ElemId> scope) {
   for (auto& [d, oracle] : oracles_) oracle->Confine(scope);
 }
 
-bool LocalEvaluator::DistanceAtMost(ElemId a, ElemId b, std::uint32_t d) {
-  return OracleFor(d).Close(a, b);
-}
-
 const std::vector<std::uint32_t>& LocalEvaluator::TuplesWith(SymbolId id,
                                                              int pos,
                                                              ElemId v) {
@@ -209,61 +205,38 @@ std::optional<std::vector<ElemId>> LocalEvaluator::LeafCandidates(
 }
 
 std::optional<std::vector<ElemId>> LocalEvaluator::CandidatesFor(
-    const Expr& body, Var y, Env* env) {
-  // Descend through an exists-prefix: any witness for y must make the inner
-  // scope true, so inner conjuncts still restrict y. Inner binders shadow.
+    const Expr& body, Var y, bool is_exists, Env* env) {
+  // Descend through a prefix of binders of the same kind: a witness for y
+  // (exists) must make the inner scope true for some inner assignment, a
+  // counterexample (forall) must make it false for some, so inner leaves
+  // still restrict y. Inner binders shadow.
+  const ExprKind binder = is_exists ? ExprKind::kExists : ExprKind::kForall;
   std::set<Var> shadowed;
   const Expr* scope = &body;
-  while (scope->kind == ExprKind::kExists && scope->vars[0] != y) {
+  while (scope->kind == binder && scope->vars[0] != y) {
     shadowed.insert(scope->vars[0]);
     scope = scope->children[0].get();
   }
-  if (scope->kind == ExprKind::kExists) return std::nullopt;  // y shadowed
+  if (scope->kind == binder) return std::nullopt;  // y shadowed
 
-  // Equality conjuncts beat atoms (a single candidate); otherwise take the
-  // smallest usable conjunct restriction.
-  std::optional<std::vector<ElemId>> best;
-  auto consider = [&](const Expr& leaf) {
-    if (best.has_value() && best->size() <= 1) return;
-    std::optional<std::vector<ElemId>> c =
-        LeafCandidates(leaf, y, env, shadowed);
-    if (c.has_value() && (!best.has_value() || c->size() < best->size())) {
-      best = std::move(c);
-    }
-  };
-  if (scope->kind == ExprKind::kAnd) {
-    for (const ExprRef& child : scope->children) consider(*child);
-  } else {
-    consider(*scope);
-  }
-  return best;
-}
-
-std::optional<std::vector<ElemId>> LocalEvaluator::ForallCandidatesFor(
-    const Expr& body, Var y, Env* env) {
-  // Descend through a forall-prefix: the inner scope must hold for *all*
-  // inner assignments, so a disjunct !leaf(y, ...) whose candidate set
-  // (computed with inner binders as wildcards) excludes y makes the scope
-  // hold vacuously.
-  std::set<Var> shadowed;
-  const Expr* scope = &body;
-  while (scope->kind == ExprKind::kForall && scope->vars[0] != y) {
-    shadowed.insert(scope->vars[0]);
-    scope = scope->children[0].get();
-  }
-  if (scope->kind == ExprKind::kForall) return std::nullopt;  // y shadowed
-
+  // A restricting leaf is a conjunct (exists) or a negated disjunct
+  // (forall). Equalities beat atoms (a single candidate); otherwise take the
+  // smallest usable restriction.
   std::optional<std::vector<ElemId>> best;
   auto consider = [&](const Expr& child) {
     if (best.has_value() && best->size() <= 1) return;
-    if (child.kind != ExprKind::kNot) return;
+    const Expr* leaf = &child;
+    if (!is_exists) {
+      if (child.kind != ExprKind::kNot) return;
+      leaf = child.children[0].get();
+    }
     std::optional<std::vector<ElemId>> c =
-        LeafCandidates(*child.children[0], y, env, shadowed);
+        LeafCandidates(*leaf, y, env, shadowed);
     if (c.has_value() && (!best.has_value() || c->size() < best->size())) {
       best = std::move(c);
     }
   };
-  if (scope->kind == ExprKind::kOr) {
+  if (scope->kind == (is_exists ? ExprKind::kAnd : ExprKind::kOr)) {
     for (const ExprRef& child : scope->children) consider(*child);
   } else {
     consider(*scope);
@@ -271,74 +244,80 @@ std::optional<std::vector<ElemId>> LocalEvaluator::ForallCandidatesFor(
   return best;
 }
 
-bool LocalEvaluator::EvalQuantifier(const Expr& e, Env* env, bool is_exists) {
-  Var y = e.vars[0];
-  const Expr& body = *e.children[0];
-  BallGuard g = DetectGuard(e);
-
-  bool was_bound = env->IsBound(y);
-  ElemId old = was_bound ? env->Get(y) : 0;
-  bool result = !is_exists;  // exists starts false, forall starts true
-
-  auto restore = [&]() {
-    if (was_bound) {
-      env->Bind(y, old);
-    } else if (env->IsBound(y)) {
-      env->Unbind(y);
+template <typename Fn>
+bool LocalEvaluator::ForEachValue(const Expr& body, Var y, bool is_exists,
+                                  Env* env, Fn&& fn) {
+  // Only elements in the d-ball of a bound anchor can make the scope true
+  // (exists) or false (forall): outside it the guard conjunct is false, or
+  // the negated guard disjunct true.
+  if (BallGuard g = MatchGuard(body, y, is_exists);
+      g.found && env->IsBound(g.anchor)) {
+    for (ElemId a : OracleFor(g.d).BallOf(env->Get(g.anchor))) {
+      if (!fn(a)) return false;
     }
-  };
-
-  auto sweep = [&](const std::vector<ElemId>& values) {
-    for (ElemId a : values) {
-      env->Bind(y, a);
-      bool v = EvalFormula(body, env);
-      if (is_exists && v) {
-        result = true;
-        return;
-      }
-      if (!is_exists && !v) {
-        result = false;
-        return;
-      }
-    }
-  };
-
-  if (g.found && env->IsBound(g.anchor)) {
-    // Only elements in the d-ball of the anchor can flip the result: outside
-    // it the guard conjunct is false (exists) / the negated guard disjunct is
-    // true (forall).
-    const std::vector<ElemId>& ball =
-        OracleFor(g.d).BallOf(env->Get(g.anchor));
-    sweep(ball);
-    restore();
-    return result;
+    return true;
   }
-
   // Candidates and universe sweeps range over the whole structure.
   FOCQ_CHECK(scope_.empty());
-  std::optional<std::vector<ElemId>> candidates =
-      is_exists ? CandidatesFor(body, y, env)
-                : ForallCandidatesFor(body, y, env);
-  if (candidates.has_value()) {
-    sweep(*candidates);
-    restore();
-    return result;
+  if (std::optional<std::vector<ElemId>> candidates =
+          CandidatesFor(body, y, is_exists, env)) {
+    for (ElemId a : *candidates) {
+      if (!fn(a)) return false;
+    }
+    return true;
   }
-
   for (ElemId a = 0; a < structure_.universe_size(); ++a) {
-    env->Bind(y, a);
-    bool v = EvalFormula(body, env);
-    if (is_exists && v) {
-      result = true;
-      break;
-    }
-    if (!is_exists && !v) {
-      result = false;
-      break;
-    }
+    if (!fn(a)) return false;
   }
-  restore();
-  return result;
+  return true;
+}
+
+template <typename Leaf>
+bool LocalEvaluator::Enumerate(const Expr& body, std::span<const Var> binders,
+                               std::size_t depth, Env* env, Leaf& leaf) {
+  if (depth == binders.size()) return leaf();
+  const Var y = binders[depth];
+  const bool finished =
+      ForEachValue(body, y, /*is_exists=*/true, env, [&](ElemId a) {
+        env->Bind(y, a);
+        return Enumerate(body, binders, depth + 1, env, leaf);
+      });
+  if (env->IsBound(y)) env->Unbind(y);
+  return finished;
+}
+
+bool LocalEvaluator::EvalQuantifier(const Expr& e, Env* env, bool is_exists) {
+  const Var y = e.vars[0];
+  const Expr& body = *e.children[0];
+  const bool was_bound = env->IsBound(y);
+  const ElemId old = was_bound ? env->Get(y) : 0;
+  // exists holds iff some value satisfies the body, forall iff none
+  // falsifies it: the sweep stops at the first value whose body value is
+  // is_exists.
+  const bool finished = ForEachValue(body, y, is_exists, env, [&](ElemId a) {
+    env->Bind(y, a);
+    return EvalFormula(body, env) != is_exists;
+  });
+  if (was_bound) {
+    env->Bind(y, old);
+  } else if (env->IsBound(y)) {
+    env->Unbind(y);
+  }
+  return finished != is_exists;
+}
+
+std::vector<Tuple> LocalEvaluator::CandidateTuples(
+    const Formula& condition, const std::vector<Var>& head_vars) {
+  Env env;
+  std::vector<Tuple> out;
+  auto leaf = [&] {
+    Tuple& head = out.emplace_back();
+    head.reserve(head_vars.size());
+    for (Var v : head_vars) head.push_back(env.Get(v));
+    return true;
+  };
+  Enumerate(condition.node(), head_vars, 0, &env, leaf);
+  return out;
 }
 
 bool LocalEvaluator::EvalFormula(const Expr& e, Env* env) {
@@ -385,8 +364,8 @@ bool LocalEvaluator::EvalFormula(const Expr& e, Env* env) {
     case ExprKind::kFalse:
       return false;
     case ExprKind::kDistAtom:
-      return DistanceAtMost(env->Get(e.vars[0]), env->Get(e.vars[1]),
-                            e.dist_bound);
+      return OracleFor(e.dist_bound)
+          .Close(env->Get(e.vars[0]), env->Get(e.vars[1]));
     default:
       FOCQ_CHECK(false);
       return false;
@@ -420,102 +399,27 @@ std::optional<CountInt> LocalEvaluator::EvalTerm(const Expr& e, Env* env) {
       return acc;
     }
     case ExprKind::kCount: {
-      // Guard-aware single-binder fast path.
-      const std::vector<Var>& ys = e.vars;
+      // The binders shadow the outer scope: unbind them, enumerate, restore.
       const Expr& body = *e.children[0];
-      if (ys.size() == 1) {
-        BallGuard g = MatchGuard(body, ys[0], /*is_exists=*/true);
-        if (g.found && env->IsBound(g.anchor)) {
-          Var y = ys[0];
-          bool was_bound = env->IsBound(y);
-          ElemId old = was_bound ? env->Get(y) : 0;
-          const std::vector<ElemId>& ball =
-              OracleFor(g.d).BallOf(env->Get(g.anchor));
-          CountInt count = 0;
-          for (ElemId a : ball) {
-            env->Bind(y, a);
-            if (EvalFormula(body, env)) ++count;
-          }
-          if (was_bound) {
-            env->Bind(y, old);
-          } else if (env->IsBound(y)) {
-            env->Unbind(y);
-          }
-          return count;
-        }
+      std::vector<std::pair<Var, ElemId>> outer;
+      for (Var y : e.vars) {
+        if (!env->IsBound(y)) continue;
+        outer.emplace_back(y, env->Get(y));
+        env->Unbind(y);
       }
-      // General case: candidate-driven recursive enumeration over the
-      // binders (falls back to universe sweeps per binder when no conjunct
-      // restricts it).
-      std::vector<bool> was_bound(ys.size());
-      std::vector<ElemId> old_value(ys.size());
-      for (std::size_t i = 0; i < ys.size(); ++i) {
-        was_bound[i] = env->IsBound(ys[i]);
-        old_value[i] = was_bound[i] ? env->Get(ys[i]) : 0;
-        if (was_bound[i]) env->Unbind(ys[i]);  // binders shadow outer scope
-      }
-      CountInt count = 0;
-      bool count_overflow = false;
-      CountRec(body, ys, 0, env, &count, &count_overflow);
-      for (std::size_t i = 0; i < ys.size(); ++i) {
-        if (was_bound[i]) {
-          env->Bind(ys[i], old_value[i]);
-        } else if (env->IsBound(ys[i])) {
-          env->Unbind(ys[i]);
-        }
-      }
-      if (count_overflow) return std::nullopt;
+      std::optional<CountInt> count = 0;
+      auto leaf = [&] {
+        if (EvalFormula(body, env)) count = CheckedAdd(*count, 1);
+        return count.has_value();  // overflow stops the enumeration
+      };
+      Enumerate(body, e.vars, 0, env, leaf);
+      for (auto [y, a] : outer) env->Bind(y, a);
       return count;
     }
     default:
       FOCQ_CHECK(false);
       return std::nullopt;
   }
-}
-
-void LocalEvaluator::CountRec(const Expr& body, const std::vector<Var>& binders,
-                              std::size_t depth, Env* env, CountInt* count,
-                              bool* overflow) {
-  if (*overflow) return;
-  if (depth == binders.size()) {
-    if (EvalFormula(body, env)) {
-      std::optional<CountInt> next = CheckedAdd(*count, 1);
-      if (!next) {
-        *overflow = true;
-        return;
-      }
-      *count = *next;
-    }
-    return;
-  }
-  Var y = binders[depth];
-  auto descend = [&](const std::vector<ElemId>& values) {
-    for (ElemId a : values) {
-      env->Bind(y, a);
-      CountRec(body, binders, depth + 1, env, count, overflow);
-      if (*overflow) return;
-    }
-    if (env->IsBound(y)) env->Unbind(y);
-  };
-  BallGuard g = MatchGuard(body, y, /*is_exists=*/true);
-  if (g.found && env->IsBound(g.anchor)) {
-    const std::vector<ElemId>& ball =
-        OracleFor(g.d).BallOf(env->Get(g.anchor));
-    descend(ball);
-    return;
-  }
-  FOCQ_CHECK(scope_.empty());
-  std::optional<std::vector<ElemId>> candidates = CandidatesFor(body, y, env);
-  if (candidates.has_value()) {
-    descend(*candidates);
-    return;
-  }
-  for (ElemId a = 0; a < structure_.universe_size(); ++a) {
-    env->Bind(y, a);
-    CountRec(body, binders, depth + 1, env, count, overflow);
-    if (*overflow) return;
-  }
-  if (env->IsBound(y)) env->Unbind(y);
 }
 
 bool LocalEvaluator::Satisfies(const Formula& f, Env* env) {

@@ -8,10 +8,13 @@
 //    this shape suffice, and all of the paper's example queries are already
 //    in the fragment;
 //
-//  * LocalEvaluator: a FOC(P) evaluator that exploits guards, enumerating
-//    ball-guarded quantifiers over BFS balls instead of the whole universe.
-//    Semantically identical to NaiveEvaluator (differentially tested), but
-//    near-linear on sparse structures for guarded formulas;
+//  * LocalEvaluator: a FOC(P) evaluator that exploits guards. One
+//    enumeration decides which values a bound variable is tried at, for
+//    quantifiers, counting binders and the candidate tuples of
+//    multi-variable query heads alike: the BFS ball of a ball guard first,
+//    then the values an atom or equality of the scope allows, then the
+//    universe. Semantically identical to NaiveEvaluator (differentially
+//    tested), but near-linear on sparse structures for guarded formulas;
 //
 //  * EvaluateOnNeighborhood: evaluates a formula on the induced substructure
 //    N_r(a-bar), the right-hand side of the locality equivalence.
@@ -69,14 +72,16 @@ bool EvaluateOnNeighborhood(const Structure& a, const Graph& gaifman,
                             const Tuple& tuple, std::uint32_t r);
 
 /// Guard-aware FOC(P) evaluator on a fixed structure. Results agree with
-/// NaiveEvaluator on every input. Two enumeration optimisations make it
-/// practical on sparse and database-shaped structures:
-///   * ball-guarded quantifiers range over BFS balls of the Gaifman graph;
-///   * quantifiers and counting binders whose scope *entails* a relational
-///     atom mentioning the variable draw candidates from that relation's
-///     tuples (with lazily-built per-column hash indexes), which turns the
-///     exists-chains of SQL-style queries into index lookups instead of
-///     active-domain sweeps.
+/// NaiveEvaluator on every input. Quantifiers, counting binders and
+/// CandidateTuples draw their values through one enumeration, which tries
+/// the first of these that applies:
+///   * the BFS ball of a ball guard whose anchor is bound;
+///   * the values that the scope's most selective equality or relational
+///     atom mentioning the variable allows (a conjunct for exists and
+///     counting binders, a negated disjunct for forall), read from the
+///     relation's tuples with lazily-built per-column hash indexes, which
+///     turns the exists-chains of SQL-style queries into index lookups;
+///   * the whole universe.
 class LocalEvaluator {
  public:
   /// `gaifman` must be the Gaifman graph of `structure`; both must outlive
@@ -113,29 +118,49 @@ class LocalEvaluator {
   /// lifts it.
   void Confine(std::span<const ElemId> scope);
 
- private:
-  friend class GuardProbe;
+  /// The candidate head tuples of a query with head `head_vars` and
+  /// condition `condition`: the variables are bound in order, each drawn as
+  /// a counting binder of the condition given the ones before it. Every
+  /// tuple satisfying the condition is among them; they are distinct and in
+  /// lexicographic order. Needs an unconfined evaluator.
+  std::vector<Tuple> CandidateTuples(const Formula& condition,
+                                     const std::vector<Var>& head_vars);
 
+ private:
   bool EvalFormula(const Expr& e, Env* env);
   std::optional<CountInt> EvalTerm(const Expr& e, Env* env);
-  bool DistanceAtMost(ElemId a, ElemId b, std::uint32_t d);
   SymbolId ResolveAtom(const Expr& e);
 
-  // Quantifier cores with guard detection. `is_exists` selects semantics.
+  // Quantifier core. `is_exists` selects semantics.
   bool EvalQuantifier(const Expr& e, Env* env, bool is_exists);
 
-  /// Candidate values for variable `y` inside a quantifier/count whose scope
-  /// is `body`: if some conjunct of `body` is an equality or relational atom
-  /// mentioning `y`, only values consistent with it can satisfy the scope.
-  /// nullopt means "no restriction found" (callers sweep the universe).
-  /// The returned vector is sorted and duplicate-free.
-  std::optional<std::vector<ElemId>> CandidatesFor(const Expr& body, Var y,
-                                                   Env* env);
+  /// Calls `fn(a)`, in increasing order of a and until it returns false,
+  /// for every value a at which a variable `y` bound over scope `body` must
+  /// be tried: the d-ball of a ball guard whose anchor is bound, else the
+  /// CandidatesFor restriction, else the universe. `is_exists` is true for
+  /// exists and counting binders, false for forall. `fn` binds `y` itself.
+  /// Returns false iff `fn` stopped the enumeration.
+  template <typename Fn>
+  bool ForEachValue(const Expr& body, Var y, bool is_exists, Env* env,
+                    Fn&& fn);
 
-  /// Same for forall bodies: a disjunct !atom(...) restricts the values that
-  /// can falsify the body.
-  std::optional<std::vector<ElemId>> ForallCandidatesFor(const Expr& body,
-                                                         Var y, Env* env);
+  /// Binds `binders[depth..]` in turn, each through ForEachValue as a
+  /// counting binder of `body`, and calls `leaf()` on every combination
+  /// until it returns false. Returns false iff `leaf` stopped it. The
+  /// binders must be unbound on entry and are unbound on return.
+  template <typename Leaf>
+  bool Enumerate(const Expr& body, std::span<const Var> binders,
+                 std::size_t depth, Env* env, Leaf& leaf);
+
+  /// The values of `y` that can make scope `body` true (exists and counting
+  /// binders) or false (forall): descends through a prefix of binders of
+  /// the same kind (inner binders shadow) and takes the smallest
+  /// restriction that an equality or relational atom mentioning `y` gives,
+  /// where such a leaf is a conjunct (exists) or a negated disjunct
+  /// (forall). nullopt means "no restriction found" (callers sweep the
+  /// universe). The returned vector is sorted and duplicate-free.
+  std::optional<std::vector<ElemId>> CandidatesFor(const Expr& body, Var y,
+                                                   bool is_exists, Env* env);
 
   /// Candidates from a single equality/atom leaf; nullopt if unusable.
   /// Variables in `shadowed` are treated as unbound wildcards.
@@ -145,10 +170,6 @@ class LocalEvaluator {
   /// Tuple indices of relation `id` whose position `pos` holds value `v`
   /// (index built lazily per column).
   const std::vector<std::uint32_t>& TuplesWith(SymbolId id, int pos, ElemId v);
-
-  /// Recursive candidate-driven counting over `binders[depth..]`.
-  void CountRec(const Expr& body, const std::vector<Var>& binders,
-                std::size_t depth, Env* env, CountInt* count, bool* overflow);
 
   const Structure& structure_;
   const Graph& gaifman_;

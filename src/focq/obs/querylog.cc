@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "focq/obs/metrics.h"
+#include "focq/util/parse_number.h"
 
 namespace focq {
 
@@ -126,24 +127,19 @@ class Cursor {
     return Status::InvalidArgument("query log: unterminated string");
   }
 
-  Result<std::int64_t> ParseInt() {
-    SkipSpace();
-    bool negative = false;
-    if (pos_ < text_.size() && text_[pos_] == '-') {
-      negative = true;
-      ++pos_;
+  /// One integer field of type T: decimal digits only (the writer never
+  /// emits a sign) that fit in T, read by ParseNumber.
+  template <typename T>
+  Result<T> ParseInt() {
+    Result<std::string_view> token = NumberToken();
+    if (!token.ok()) return token.status();
+    T value = 0;
+    if (!ParseNumber(*token, &value)) {
+      return Status::InvalidArgument("query log: bad integer '" +
+                                     std::string(*token) + "' at offset " +
+                                     std::to_string(pos_ - token->size()));
     }
-    if (pos_ >= text_.size() || !std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-      return Status::InvalidArgument("query log: expected a number at offset " +
-                                     std::to_string(pos_));
-    }
-    std::int64_t value = 0;
-    while (pos_ < text_.size() &&
-           std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-      value = value * 10 + (text_[pos_] - '0');
-      ++pos_;
-    }
-    return negative ? -value : value;
+    return value;
   }
 
   Result<bool> ParseBool() {
@@ -180,10 +176,27 @@ class Cursor {
       }
     }
     if (c == 't' || c == 'f') return ParseBool().status();
-    return ParseInt().status();
+    return NumberToken().status();
   }
 
  private:
+  // The text of one number: an optional '-' and a run of digits.
+  Result<std::string_view> NumberToken() {
+    SkipSpace();
+    const std::size_t start = pos_;
+    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
+    if (pos_ >= text_.size() ||
+        !std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
+      return Status::InvalidArgument("query log: expected a number at offset " +
+                                     std::to_string(pos_));
+    }
+    while (pos_ < text_.size() &&
+           std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
+      ++pos_;
+    }
+    return text_.substr(start, pos_ - start);
+  }
+
   void SkipSpace() {
     while (pos_ < text_.size() &&
            std::isspace(static_cast<unsigned char>(text_[pos_]))) {
@@ -228,10 +241,9 @@ Result<QueryLogRecord> ParseQueryLogLine(std::string_view line) {
     if (!key.ok()) return key.status();
     if (Status s = cursor.Expect(':'); !s.ok()) return s;
     if (*key == "seq" || *key == "client") {
-      Result<std::int64_t> v = cursor.ParseInt();
+      Result<std::uint64_t> v = cursor.ParseInt<std::uint64_t>();
       if (!v.ok()) return v.status();
-      (*key == "seq" ? record.seq : record.client_id) =
-          static_cast<std::uint64_t>(*v);
+      (*key == "seq" ? record.seq : record.client_id) = *v;
     } else if (*key == "trace" || *key == "digest") {
       Result<std::string> hex = cursor.ParseString();
       if (!hex.ok()) return hex.status();
@@ -252,7 +264,7 @@ Result<QueryLogRecord> ParseQueryLogLine(std::string_view line) {
         Result<std::string> field = cursor.ParseString();
         if (!field.ok()) return field.status();
         if (Status s = cursor.Expect(':'); !s.ok()) return s;
-        Result<std::int64_t> v = cursor.ParseInt();
+        Result<std::int64_t> v = cursor.ParseInt<std::int64_t>();
         if (!v.ok()) return v.status();
         if (*key == "ns") {
           if (*field == "decode") record.decode_ns = *v;

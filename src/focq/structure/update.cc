@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "focq/util/check.h"
+#include "focq/util/parse_number.h"
 
 namespace focq {
 
@@ -41,15 +42,8 @@ Result<TupleUpdate> ParseUpdate(std::string_view text, const Signature& sig) {
   u.symbol = *id;
   std::string tok;
   while (in >> tok) {
-    long long value = 0;
-    std::size_t consumed = 0;
-    try {
-      value = std::stoll(tok, &consumed);
-    } catch (...) {
-      consumed = 0;
-    }
-    if (consumed != tok.size() || value < 0 ||
-        value > static_cast<long long>(static_cast<ElemId>(-1))) {
+    std::uint64_t value = 0;
+    if (!ParseNumber(tok, &value) || value > static_cast<ElemId>(-1)) {
       return Status::InvalidArgument("bad element id '" + tok +
                                      "' in update spec");
     }

@@ -480,7 +480,7 @@ std::optional<DiffFailure> RunApproxCase(const DiffCase& c,
     if (!typing.has_value()) {
       Graph gaifman = BuildGaifmanGraph(c.structure);
       typing.emplace(ComputeSphereTypes(c.structure, gaifman,
-                                        config.params.stratify_radius));
+                                        kApproxStratifyRadius));
     }
     return &*typing;
   };
@@ -602,7 +602,7 @@ std::optional<DiffFailure> RunApproxTrials(const DiffCase& c,
   if (config.params.stratify) {
     Graph gaifman = BuildGaifmanGraph(c.structure);
     typing.emplace(ComputeSphereTypes(c.structure, gaifman,
-                                      config.params.stratify_radius));
+                                      kApproxStratifyRadius));
     strata = &*typing;
   }
 

@@ -114,7 +114,7 @@ struct DiffConfig {
 /// vs cold contexts for the fixed seed.
 struct ApproxDiffConfig {
   // eps/delta/seed of the subject; `stratify` is overridden per variant by
-  // stratify_modes, `stratify_radius` is honoured as-is.
+  // stratify_modes.
   ApproxParams params;
   std::vector<int> thread_counts = {0, 1, 4};
   std::vector<bool> stratify_modes = {false, true};

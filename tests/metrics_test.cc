@@ -397,6 +397,34 @@ TEST(Observability, QueryResultCarriesSnapshot) {
   EXPECT_EQ(without->rows, with_sink->rows);
 }
 
+TEST(Observability, QueryCandidatesComeFromTheCondition) {
+  // No atom of the condition mentions both head variables, so the head
+  // tuples are drawn one variable at a time: x from E(x, z), then y from
+  // E(z, y). On the path 0 -> ... -> 10 inside 100 elements that is 10 x 10
+  // candidates, not the 100^2 of a sweep over A^2.
+  std::vector<std::pair<ElemId, ElemId>> arcs;
+  for (ElemId v = 0; v < 10; ++v) arcs.emplace_back(v, v + 1);
+  Structure a = EncodeDigraph(100, arcs);
+  Var x = VarNamed("qcx"), y = VarNamed("qcy"), z = VarNamed("qcz");
+  Foc1Query q;
+  q.head_vars = {x, y};
+  q.condition = Exists(z, And(Atom("E", {x, z}), Atom("E", {z, y})));
+  Result<QueryResult> naive = EvaluateQueryNaive(q, a);
+  ASSERT_TRUE(naive.ok()) << naive.status().ToString();
+  EXPECT_EQ(naive->rows.size(), 9u);
+  for (int threads : {1, 4}) {
+    MetricsSink metrics;
+    EvalOptions options;
+    options.num_threads = threads;
+    options.metrics = &metrics;
+    Result<QueryResult> local = EvaluateQuery(q, a, options);
+    ASSERT_TRUE(local.ok()) << local.status().ToString();
+    EXPECT_EQ(local->rows, naive->rows) << "threads=" << threads;
+    EXPECT_EQ(metrics.Counter("query.candidates_verified"), 100)
+        << "threads=" << threads;
+  }
+}
+
 TEST(MetricsSink, MergeValueMatchesPerSampleRecording) {
   // The batched path (local ValueStats + one MergeValue) must be
   // bit-identical to recording every sample individually — that is what

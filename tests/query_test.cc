@@ -114,6 +114,21 @@ TEST(Foc1Query, TwoVariableHeads) {
   EXPECT_EQ(rows->rows[1].counts, std::vector<CountInt>{2});  // 2 * 1
   EXPECT_EQ(rows->rows[2].elements, (Tuple{1, 2}));
   EXPECT_EQ(rows->rows[2].counts, std::vector<CountInt>{4});  // 2 * 2
+
+  // The condition's exists-prefix re-binds the head variable x, so every x
+  // qualifies: rows (0,1), (1,1), (2,1), not only the edge's (0,1).
+  Foc1Query rebound;
+  rebound.head_vars = {x, y};
+  rebound.condition = Exists(x, Atom("E", {x, y}));
+  Structure b = EncodeDigraph(3, {{0, 1}});
+  Result<QueryResult> naive = EvaluateQueryNaive(rebound, b);
+  ASSERT_TRUE(naive.ok());
+  EXPECT_EQ(naive->rows.size(), 3u);
+  for (Engine engine : {Engine::kLocal, Engine::kApprox}) {
+    Result<QueryResult> got = EvaluateQuery(rebound, b, WithEngine(engine));
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(got->rows, naive->rows) << static_cast<int>(engine);
+  }
 }
 
 // The Section 5 free-variable elimination: A |= phi[a-bar] iff the

@@ -107,6 +107,11 @@ TEST(QueryLogRecordTest, ParserRejectsMalformedLines) {
   EXPECT_FALSE(ParseQueryLogLine("{\"kind\":\"count\",\"trace\":\"xyz\"}").ok());
   EXPECT_FALSE(
       ParseQueryLogLine("{\"kind\":\"count\",\"seq\":").ok());  // truncated
+  // A seq is unsigned and must fit in 64 bits: neither wraps.
+  EXPECT_FALSE(ParseQueryLogLine("{\"kind\":\"count\",\"seq\":-1}").ok());
+  EXPECT_FALSE(
+      ParseQueryLogLine("{\"kind\":\"count\",\"seq\":99999999999999999999}")
+          .ok());
 }
 
 class QueryLogWriterTest : public ::testing::Test {

@@ -138,6 +138,12 @@ TEST(UpdateParse, RoundTripsAndRejectsMalformedSpecs) {
             StatusCode::kInvalidArgument);  // arity mismatch
   EXPECT_EQ(ParseUpdate("insert E 0 banana", sig).status().code(),
             StatusCode::kInvalidArgument);
+  // Element ids are plain decimal digits, as in a structure file: no sign.
+  for (const char* spec : {"insert E +1 2", "insert E -0 2"}) {
+    EXPECT_EQ(ParseUpdate(spec, sig).status().code(),
+              StatusCode::kInvalidArgument)
+        << spec;
+  }
   EXPECT_EQ(ParseUpdate("", sig).status().code(),
             StatusCode::kInvalidArgument);
 }
