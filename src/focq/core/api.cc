@@ -126,7 +126,8 @@ Result<bool> ModelCheck(const Formula& sentence, const Structure& a,
     Phase phase(options, "naive_eval");
     NaiveEvaluator eval(a);
     eval.set_progress(options);
-    bool holds = eval.Satisfies(sentence);
+    Env env;
+    Result<bool> holds = eval.Check(sentence, &env);
     FlushNaiveMetrics(eval, options);
     if (eval.stopped()) return options.DeadlineStatus();
     return holds;
@@ -285,7 +286,9 @@ Result<QueryResult> EvaluateMultiQueryLocal(const Foc1Query& q,
       options.NewNode("candidate-verify", std::to_string(k) + " head vars"));
 
   const std::vector<Tuple> candidates =
-      LocalEvaluator(a, gaifman).CandidateTuples(q.condition, q.head_vars);
+      LocalEvaluator(a, gaifman)
+          .CandidateTuples(q.condition, q.head_vars, options);
+  if (options.Cancelled()) return options.DeadlineStatus();
 
   // Verify candidates in parallel: each chunk checks its share of the
   // (sorted) candidate list with a private evaluator and collects rows into
@@ -312,7 +315,12 @@ Result<QueryResult> EvaluateMultiQueryLocal(const Foc1Query& q,
           for (std::size_t i = 0; i < k; ++i) {
             env.Bind(q.head_vars[i], head[i]);
           }
-          if (!eval.Satisfies(q.condition, &env)) continue;
+          Result<bool> holds = eval.Check(q.condition, &env);
+          if (!holds.ok()) {
+            chunk_status[chunk] = holds.status();
+            return;
+          }
+          if (!*holds) continue;
           QueryRow row;
           row.elements = head;
           for (const Term& t : q.head_terms) {

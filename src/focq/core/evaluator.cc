@@ -96,7 +96,7 @@ Result<std::vector<T>> PlanExecutor::AtEveryElement(ProgressPhase phase,
                 for (std::size_t a = begin; a < end; ++a) {
                   if (options_.ShouldStop()) return;  // drain the rest
                   for (Var v : vars) env.Bind(v, static_cast<ElemId>(a));
-                  Result<T> value = fn(eval, env);
+                  auto value = fn(eval, env);
                   if (!value.ok()) {
                     chunk_status[chunk] = value.status();
                     return;
@@ -137,15 +137,16 @@ Status PlanExecutor::MaterializeLayers() {
         // current expansion (whose earlier markers it may mention).
         if (def.arity == 0) {
           LocalEvaluator eval(structure_, gaifman_);
-          bool holds = eval.Satisfies(def.fallback_formula);
-          structure_.AddNullarySymbol(def.name, holds);
+          Env env;
+          Result<bool> holds = eval.Check(def.fallback_formula, &env);
+          if (!holds.ok()) return holds.status();
+          structure_.AddNullarySymbol(def.name, *holds);
         } else {
           Result<std::vector<std::uint8_t>> holds =
               AtEveryElement<std::uint8_t>(
                   ProgressPhase::kMaterialize, {&def.free_var, 1},
-                  [&def](LocalEvaluator& eval,
-                         Env& env) -> Result<std::uint8_t> {
-                    return eval.Satisfies(def.fallback_formula, &env);
+                  [&def](LocalEvaluator& eval, Env& env) {
+                    return eval.Check(def.fallback_formula, &env);
                   });
           if (!holds.ok()) return holds.status();
           std::vector<ElemId> elements;
@@ -199,7 +200,8 @@ Result<bool> PlanExecutor::CheckSentence() {
   Phase plan_phase(options_, "", node_ids_.root);
   Phase phase(options_, "residual_eval", node_ids_.residual);
   options_.Count("residual.elements_checked", 1);
-  return final_eval_->Satisfies(plan_.final_formula);
+  Env env;
+  return final_eval_->Check(plan_.final_formula, &env);
 }
 
 Result<bool> PlanExecutor::CheckAt(ElemId a) {
@@ -211,7 +213,7 @@ Result<bool> PlanExecutor::CheckAt(ElemId a) {
   options_.Count("residual.elements_checked", 1);
   Env env;
   if (!free.empty()) env.Bind(free[0], a);
-  return final_eval_->Satisfies(plan_.final_formula, &env);
+  return final_eval_->Check(plan_.final_formula, &env);
 }
 
 Result<std::vector<bool>> PlanExecutor::CheckAll() {
@@ -223,8 +225,8 @@ Result<std::vector<bool>> PlanExecutor::CheckAll() {
   // Bytes, not std::vector<bool>: chunks write distinct slots concurrently.
   Result<std::vector<std::uint8_t>> holds = AtEveryElement<std::uint8_t>(
       ProgressPhase::kResidual, FreeVars(plan_.final_formula),
-      [this](LocalEvaluator& eval, Env& env) -> Result<std::uint8_t> {
-        return eval.Satisfies(plan_.final_formula, &env);
+      [this](LocalEvaluator& eval, Env& env) {
+        return eval.Check(plan_.final_formula, &env);
       });
   if (!holds.ok()) return holds.status();
   return std::vector<bool>(holds->begin(), holds->end());

@@ -70,7 +70,8 @@ class PlanExecutor {
   Result<std::vector<CountInt>> EvalClTermAll(const ClTerm& term,
                                               int explain_node);
   /// fn(eval, env) at every element a, with `vars` (at most one) bound to a
-  /// in env and one LocalEvaluator per chunk; a's value lands in slot a.
+  /// in env and one LocalEvaluator per chunk; a's value (a Result of a type
+  /// convertible to T) lands in slot a.
   /// Advances `phase` per element and polls the deadline: a hard expiry
   /// returns kDeadlineExceeded, else a failing fn its first chunk's error.
   template <typename T, typename Fn>

@@ -60,8 +60,9 @@ Result<ClTerm> TermToClTerm(const ExprRef& e, std::optional<Var> z) {
       ClTerm acc;
       for (const ExprRef& c : e->children) {
         Result<ClTerm> t = TermToClTerm(c, z);
+        if (t.ok()) t = ClTerm::Add(acc, *t);
         if (!t.ok()) return t;
-        acc = ClTerm::Add(acc, *t);
+        acc = std::move(t).value();
       }
       return acc;
     }
@@ -69,8 +70,9 @@ Result<ClTerm> TermToClTerm(const ExprRef& e, std::optional<Var> z) {
       ClTerm acc = ClTerm::Constant(1);
       for (const ExprRef& c : e->children) {
         Result<ClTerm> t = TermToClTerm(c, z);
+        if (t.ok()) t = ClTerm::Mul(acc, *t);
         if (!t.ok()) return t;
-        acc = ClTerm::Mul(acc, *t);
+        acc = std::move(t).value();
       }
       return acc;
     }

@@ -234,9 +234,15 @@ std::optional<CountInt> NaiveEvaluator::EvalTerm(const Expr& e, Env* env) {
 bool NaiveEvaluator::Satisfies(const Formula& f, Env* env) {
   overflow_ = false;
   stopped_ = false;
-  bool result = EvalFormula(f.node(), env);
-  FOCQ_CHECK(!overflow_);  // counting overflowed int64 inside a formula
-  return result;
+  return EvalFormula(f.node(), env);
+}
+
+Result<bool> NaiveEvaluator::Check(const Formula& f, Env* env) {
+  const bool holds = Satisfies(f, env);
+  if (overflow_) {
+    return Status::OutOfRange("counting-term value overflows int64");
+  }
+  return holds;
 }
 
 bool NaiveEvaluator::Satisfies(const Formula& sentence) {
@@ -252,10 +258,13 @@ bool NaiveEvaluator::Satisfies(
 }
 
 Result<CountInt> NaiveEvaluator::Evaluate(const Term& t, Env* env) {
+  overflow_ = false;
   stopped_ = false;
   std::optional<CountInt> v = EvalTerm(t.node(), env);
   if (stopped_) return in_.DeadlineStatus();
-  if (!v) return Status::OutOfRange("counting-term value overflows int64");
+  if (!v || overflow_) {
+    return Status::OutOfRange("counting-term value overflows int64");
+  }
   return *v;
 }
 

@@ -59,9 +59,12 @@ class NaiveEvaluator {
   const Structure& structure() const { return structure_; }
 
   /// [[phi]]^(A, beta) for a formula. All free variables of `f` must be
-  /// bound in `env`. Aborts on arithmetic overflow inside numerical
-  /// predicates (see EvaluateTerm for the checked entry point).
+  /// bound in `env`. An int64 overflow inside a numerical predicate makes
+  /// the truth value meaningless: callers that can meet one use Check.
   bool Satisfies(const Formula& f, Env* env);
+
+  /// Satisfies with that overflow as kOutOfRange.
+  Result<bool> Check(const Formula& f, Env* env);
 
   /// Convenience: sentences.
   bool Satisfies(const Formula& sentence);
@@ -70,7 +73,8 @@ class NaiveEvaluator {
   bool Satisfies(const Formula& f,
                  const std::vector<std::pair<Var, ElemId>>& binding);
 
-  /// [[t]]^(A, beta); OutOfRange on int64 overflow.
+  /// [[t]]^(A, beta); OutOfRange on int64 overflow, also inside a
+  /// numerical predicate of a counted body.
   Result<CountInt> Evaluate(const Term& t, Env* env);
   Result<CountInt> Evaluate(const Term& ground_term);
   Result<CountInt> Evaluate(const Term& t,

@@ -51,7 +51,9 @@ Result<QueryResult> EvaluateQueryNaive(const Foc1Query& q, const Structure& a) {
   // Recursive enumeration in lexicographic order of the witness tuple.
   // Implemented iteratively with position 0 as the most significant digit.
   auto emit = [&]() -> Status {
-    if (!eval.Satisfies(q.condition, &env)) return Status::Ok();
+    Result<bool> holds = eval.Check(q.condition, &env);
+    if (!holds.ok()) return holds.status();
+    if (!*holds) return Status::Ok();
     QueryRow row;
     row.elements = tuple;
     for (const Term& t : q.head_terms) {

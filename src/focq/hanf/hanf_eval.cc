@@ -78,11 +78,16 @@ Result<CountInt> HanfEvaluator::CountSatisfying(const Formula& phi, Var x,
                       static_cast<SphereTypeId>(id));
                   Graph rep_gaifman = BuildGaifmanGraph(rep);
                   LocalEvaluator eval(rep, rep_gaifman);
-                  bool sat = eval.Satisfies(
-                      phi, {{x, types.registry.RepresentativeCenter(
-                                    static_cast<SphereTypeId>(id))}});
+                  Env env;
+                  env.Bind(x, types.registry.RepresentativeCenter(
+                                  static_cast<SphereTypeId>(id)));
+                  Result<bool> sat = eval.Check(phi, &env);
                   in_.Advance(ProgressPhase::kHanf, 1);
-                  if (!sat) continue;
+                  if (!sat.ok()) {
+                    overflow[chunk] = 1;  // a numerical predicate overflowed
+                    return;
+                  }
+                  if (!*sat) continue;
                   auto sum = CheckedAdd(
                       partial[chunk],
                       static_cast<CountInt>(types.elements_of_type[id].size()));

@@ -14,6 +14,10 @@ bool BasicEquals(const BasicClTerm& a, const BasicClTerm& b) {
          a.pattern == b.pattern && ExprEquals(a.kernel.node(), b.kernel.node());
 }
 
+Status CoefficientOverflow() {
+  return Status::OutOfRange("cl-term coefficient overflows int64");
+}
+
 }  // namespace
 
 ClTerm ClTerm::Constant(CountInt c) {
@@ -51,44 +55,51 @@ int ClTerm::InternBasic(const BasicClTerm& basic) {
   return static_cast<int>(basics_.size() - 1);
 }
 
-ClTerm ClTerm::Add(const ClTerm& a, const ClTerm& b) {
+bool ClTerm::MergeMonomial(Monomial m) {
+  std::sort(m.factors.begin(), m.factors.end());
+  for (Monomial& existing : monomials_) {
+    if (existing.factors != m.factors) continue;
+    std::optional<CountInt> sum = CheckedAdd(existing.coeff, m.coeff);
+    if (!sum) return false;
+    existing.coeff = *sum;
+    return true;
+  }
+  monomials_.push_back(std::move(m));
+  return true;
+}
+
+void ClTerm::DropZeroMonomials() {
+  std::erase_if(monomials_, [](const Monomial& m) { return m.coeff == 0; });
+}
+
+Result<ClTerm> ClTerm::Add(const ClTerm& a, const ClTerm& b) {
   ClTerm out = a;
   for (const Monomial& m : b.monomials_) {
     Monomial copy = m;
     for (int& f : copy.factors) f = out.InternBasic(b.basics_[f]);
-    std::sort(copy.factors.begin(), copy.factors.end());
-    // Merge with an identical monomial if present.
-    bool merged = false;
-    for (Monomial& existing : out.monomials_) {
-      if (existing.factors == copy.factors) {
-        auto sum = CheckedAdd(existing.coeff, copy.coeff);
-        FOCQ_CHECK(sum.has_value());
-        existing.coeff = *sum;
-        merged = true;
-        break;
-      }
-    }
-    if (!merged) out.monomials_.push_back(std::move(copy));
+    if (!out.MergeMonomial(std::move(copy))) return CoefficientOverflow();
   }
-  // Drop zero monomials.
-  out.monomials_.erase(
-      std::remove_if(out.monomials_.begin(), out.monomials_.end(),
-                     [](const Monomial& m) { return m.coeff == 0; }),
-      out.monomials_.end());
+  out.DropZeroMonomials();
   return out;
 }
 
-ClTerm ClTerm::Negate(const ClTerm& a) {
+Result<ClTerm> ClTerm::Negate(const ClTerm& a) {
   ClTerm out = a;
-  for (Monomial& m : out.monomials_) m.coeff = -m.coeff;
+  for (Monomial& m : out.monomials_) {
+    std::optional<CountInt> negated = CheckedSub(0, m.coeff);
+    if (!negated) return CoefficientOverflow();
+    m.coeff = *negated;
+  }
   return out;
 }
 
-ClTerm ClTerm::Sub(const ClTerm& a, const ClTerm& b) {
-  return Add(a, Negate(b));
+Result<ClTerm> ClTerm::Sub(const ClTerm& a, const ClTerm& b) {
+  Result<ClTerm> negated = Negate(b);
+  if (!negated.ok()) return negated;
+  return Add(a, *negated);
 }
 
-ClTerm ClTerm::Mul(const ClTerm& a, const ClTerm& b) {
+Result<ClTerm> ClTerm::Mul(const ClTerm& a, const ClTerm& b) {
   ClTerm out;
   out.basics_ = a.basics_;
   std::vector<int> b_remap(b.basics_.size());
@@ -97,30 +108,14 @@ ClTerm ClTerm::Mul(const ClTerm& a, const ClTerm& b) {
   }
   for (const Monomial& ma : a.monomials_) {
     for (const Monomial& mb : b.monomials_) {
-      Monomial prod;
-      auto coeff = CheckedMul(ma.coeff, mb.coeff);
-      FOCQ_CHECK(coeff.has_value());
-      prod.coeff = *coeff;
-      prod.factors = ma.factors;
+      std::optional<CountInt> coeff = CheckedMul(ma.coeff, mb.coeff);
+      if (!coeff) return CoefficientOverflow();
+      Monomial prod{*coeff, ma.factors};
       for (int f : mb.factors) prod.factors.push_back(b_remap[f]);
-      std::sort(prod.factors.begin(), prod.factors.end());
-      bool merged = false;
-      for (Monomial& existing : out.monomials_) {
-        if (existing.factors == prod.factors) {
-          auto sum = CheckedAdd(existing.coeff, prod.coeff);
-          FOCQ_CHECK(sum.has_value());
-          existing.coeff = *sum;
-          merged = true;
-          break;
-        }
-      }
-      if (!merged && prod.coeff != 0) out.monomials_.push_back(std::move(prod));
+      if (!out.MergeMonomial(std::move(prod))) return CoefficientOverflow();
     }
   }
-  out.monomials_.erase(
-      std::remove_if(out.monomials_.begin(), out.monomials_.end(),
-                     [](const Monomial& m) { return m.coeff == 0; }),
-      out.monomials_.end());
+  out.DropZeroMonomials();
   return out;
 }
 

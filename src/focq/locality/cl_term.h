@@ -76,11 +76,12 @@ class ClTerm {
   /// True iff no basic factor is unary (the term is ground).
   bool IsGround() const;
 
-  /// Polynomial algebra (basics are merged structurally).
-  static ClTerm Add(const ClTerm& a, const ClTerm& b);
-  static ClTerm Sub(const ClTerm& a, const ClTerm& b);
-  static ClTerm Mul(const ClTerm& a, const ClTerm& b);
-  static ClTerm Negate(const ClTerm& a);
+  /// Polynomial algebra (basics are merged structurally). A coefficient
+  /// past int64 is kOutOfRange.
+  static Result<ClTerm> Add(const ClTerm& a, const ClTerm& b);
+  static Result<ClTerm> Sub(const ClTerm& a, const ClTerm& b);
+  static Result<ClTerm> Mul(const ClTerm& a, const ClTerm& b);
+  static Result<ClTerm> Negate(const ClTerm& a);
 
   /// Total number of basic cl-terms (a size measure for the E4 benchmark).
   std::size_t NumBasics() const { return basics_.size(); }
@@ -89,6 +90,11 @@ class ClTerm {
  private:
   /// Returns the index of `basic` in basics_, inserting if new.
   int InternBasic(const BasicClTerm& basic);
+  /// Adds `m` (factors indexing basics_) to the polynomial, merged into the
+  /// monomial with the same factors if there is one. False on overflow.
+  bool MergeMonomial(Monomial m);
+  /// Removes the monomials whose coefficients cancelled to zero.
+  void DropZeroMonomials();
 
   std::vector<BasicClTerm> basics_;
   std::vector<Monomial> monomials_;

@@ -391,18 +391,24 @@ Result<ClTerm> CountWithPattern(const Formula& kernel,
       first_error = t2.status();
       return;
     }
-    ClTerm contribution = ClTerm::Mul(*t1, *t2);
+    Result<ClTerm> contribution = ClTerm::Mul(*t1, *t2);
 
     Formula both = And(psi1, psi2);
     for (const PatternGraph& h : crossings) {
+      if (!contribution.ok()) break;
       Result<ClTerm> th = CountWithPattern(both, vars, unary, r, h);
       if (!th.ok()) {
         first_error = th.status();
         return;
       }
-      contribution = ClTerm::Sub(contribution, *th);
+      contribution = ClTerm::Sub(*contribution, *th);
     }
-    total = ClTerm::Add(total, contribution);
+    if (contribution.ok()) contribution = ClTerm::Add(total, *contribution);
+    if (!contribution.ok()) {
+      first_error = contribution.status();
+      return;
+    }
+    total = std::move(contribution).value();
   };
   ExpandShannon(*skeleton, &assignment, 0, emit);
   if (!first_error.ok()) return first_error;
@@ -444,8 +450,9 @@ Result<Decomposition> DecomposeCount(const std::vector<Var>& vars, bool unary,
   out.radius = *radius;
   for (const PatternGraph& g : PatternGraph::AllGraphs(k)) {
     Result<ClTerm> t = CountWithPattern(kernel, vars, unary, *radius, g);
+    if (t.ok()) t = ClTerm::Add(out.term, *t);
     if (!t.ok()) return t.status();
-    out.term = ClTerm::Add(out.term, *t);
+    out.term = std::move(t).value();
   }
   return out;
 }

@@ -307,10 +307,12 @@ bool LocalEvaluator::EvalQuantifier(const Expr& e, Env* env, bool is_exists) {
 }
 
 std::vector<Tuple> LocalEvaluator::CandidateTuples(
-    const Formula& condition, const std::vector<Var>& head_vars) {
+    const Formula& condition, const std::vector<Var>& head_vars,
+    const Instruments& in) {
   Env env;
   std::vector<Tuple> out;
   auto leaf = [&] {
+    if (in.ShouldStop()) return false;
     Tuple& head = out.emplace_back();
     head.reserve(head_vars.size());
     for (Var v : head_vars) head.push_back(env.Get(v));
@@ -410,7 +412,7 @@ std::optional<CountInt> LocalEvaluator::EvalTerm(const Expr& e, Env* env) {
       std::optional<CountInt> count = 0;
       auto leaf = [&] {
         if (EvalFormula(body, env)) count = CheckedAdd(*count, 1);
-        return count.has_value();  // overflow stops the enumeration
+        return count.has_value() && !overflow_;  // overflow stops it
       };
       Enumerate(body, e.vars, 0, env, leaf);
       for (auto [y, a] : outer) env->Bind(y, a);
@@ -424,9 +426,15 @@ std::optional<CountInt> LocalEvaluator::EvalTerm(const Expr& e, Env* env) {
 
 bool LocalEvaluator::Satisfies(const Formula& f, Env* env) {
   overflow_ = false;
-  bool result = EvalFormula(f.node(), env);
-  FOCQ_CHECK(!overflow_);
-  return result;
+  return EvalFormula(f.node(), env);
+}
+
+Result<bool> LocalEvaluator::Check(const Formula& f, Env* env) {
+  const bool holds = Satisfies(f, env);
+  if (overflow_) {
+    return Status::OutOfRange("counting-term value overflows int64");
+  }
+  return holds;
 }
 
 bool LocalEvaluator::Satisfies(const Formula& sentence) {
@@ -442,8 +450,11 @@ bool LocalEvaluator::Satisfies(
 }
 
 Result<CountInt> LocalEvaluator::Evaluate(const Term& t, Env* env) {
+  overflow_ = false;
   std::optional<CountInt> v = EvalTerm(t.node(), env);
-  if (!v) return Status::OutOfRange("counting-term value overflows int64");
+  if (!v || overflow_) {
+    return Status::OutOfRange("counting-term value overflows int64");
+  }
   return *v;
 }
 

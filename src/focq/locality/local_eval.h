@@ -93,11 +93,15 @@ class LocalEvaluator {
 
   const Structure& structure() const { return structure_; }
 
+  /// As NaiveEvaluator::Satisfies and NaiveEvaluator::Check.
   bool Satisfies(const Formula& f, Env* env);
   bool Satisfies(const Formula& sentence);
   bool Satisfies(const Formula& f,
                  const std::vector<std::pair<Var, ElemId>>& binding);
+  Result<bool> Check(const Formula& f, Env* env);
 
+  /// kOutOfRange on int64 overflow, also inside a numerical predicate of a
+  /// counted body.
   Result<CountInt> Evaluate(const Term& t, Env* env);
   Result<CountInt> Evaluate(const Term& ground_term);
   Result<CountInt> Evaluate(const Term& t,
@@ -122,9 +126,12 @@ class LocalEvaluator {
   /// condition `condition`: the variables are bound in order, each drawn as
   /// a counting binder of the condition given the ones before it. Every
   /// tuple satisfying the condition is among them; they are distinct and in
-  /// lexicographic order. Needs an unconfined evaluator.
+  /// lexicographic order. Needs an unconfined evaluator. Polls `in` per
+  /// tuple and stops listing once in.ShouldStop(): the caller then checks
+  /// in.Cancelled() and discards the partial list.
   std::vector<Tuple> CandidateTuples(const Formula& condition,
-                                     const std::vector<Var>& head_vars);
+                                     const std::vector<Var>& head_vars,
+                                     const Instruments& in);
 
  private:
   bool EvalFormula(const Expr& e, Env* env);

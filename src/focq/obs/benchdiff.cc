@@ -1,210 +1,14 @@
 #include "focq/obs/benchdiff.h"
 
-#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <map>
 #include <utility>
 
-#include "focq/obs/metrics.h"
+#include "focq/util/json.h"
 
 namespace focq {
 namespace {
-
-// A minimal recursive-descent JSON reader, just enough for the Google
-// Benchmark output format. Numbers are doubles, \u escapes decode the ASCII
-// range only (benchmark names are ASCII).
-struct JsonValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string str;
-  std::vector<JsonValue> array;
-  std::vector<std::pair<std::string, JsonValue>> object;
-
-  const JsonValue* Find(const std::string& key) const {
-    for (const auto& [k, v] : object) {
-      if (k == key) return &v;
-    }
-    return nullptr;
-  }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : text_(text) {}
-
-  Result<JsonValue> Parse() {
-    JsonValue v;
-    FOCQ_RETURN_IF_ERROR(ParseValue(&v));
-    SkipSpace();
-    if (pos_ != text_.size()) return Error("trailing characters");
-    return v;
-  }
-
- private:
-  Status Error(const std::string& what) {
-    return Status::InvalidArgument("JSON parse error at offset " +
-                                   std::to_string(pos_) + ": " + what);
-  }
-
-  void SkipSpace() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  bool Consume(char c) {
-    SkipSpace();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  Status ParseValue(JsonValue* out) {
-    SkipSpace();
-    if (pos_ >= text_.size()) return Error("unexpected end of input");
-    char c = text_[pos_];
-    if (c == '{') return ParseObject(out);
-    if (c == '[') return ParseArray(out);
-    if (c == '"') {
-      out->kind = JsonValue::Kind::kString;
-      return ParseString(&out->str);
-    }
-    if (c == 't' || c == 'f') return ParseKeyword(out);
-    if (c == 'n') return ParseKeyword(out);
-    return ParseNumber(out);
-  }
-
-  Status ParseObject(JsonValue* out) {
-    out->kind = JsonValue::Kind::kObject;
-    ++pos_;  // '{'
-    if (Consume('}')) return Status::Ok();
-    for (;;) {
-      SkipSpace();
-      std::string key;
-      FOCQ_RETURN_IF_ERROR(ParseString(&key));
-      if (!Consume(':')) return Error("expected ':'");
-      JsonValue value;
-      FOCQ_RETURN_IF_ERROR(ParseValue(&value));
-      out->object.emplace_back(std::move(key), std::move(value));
-      if (Consume(',')) continue;
-      if (Consume('}')) return Status::Ok();
-      return Error("expected ',' or '}'");
-    }
-  }
-
-  Status ParseArray(JsonValue* out) {
-    out->kind = JsonValue::Kind::kArray;
-    ++pos_;  // '['
-    if (Consume(']')) return Status::Ok();
-    for (;;) {
-      JsonValue value;
-      FOCQ_RETURN_IF_ERROR(ParseValue(&value));
-      out->array.push_back(std::move(value));
-      if (Consume(',')) continue;
-      if (Consume(']')) return Status::Ok();
-      return Error("expected ',' or ']'");
-    }
-  }
-
-  Status ParseString(std::string* out) {
-    SkipSpace();
-    if (pos_ >= text_.size() || text_[pos_] != '"') {
-      return Error("expected string");
-    }
-    ++pos_;
-    out->clear();
-    while (pos_ < text_.size()) {
-      char c = text_[pos_++];
-      if (c == '"') return Status::Ok();
-      if (c != '\\') {
-        out->push_back(c);
-        continue;
-      }
-      if (pos_ >= text_.size()) return Error("bad escape");
-      char e = text_[pos_++];
-      switch (e) {
-        case '"': out->push_back('"'); break;
-        case '\\': out->push_back('\\'); break;
-        case '/': out->push_back('/'); break;
-        case 'b': out->push_back('\b'); break;
-        case 'f': out->push_back('\f'); break;
-        case 'n': out->push_back('\n'); break;
-        case 'r': out->push_back('\r'); break;
-        case 't': out->push_back('\t'); break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) return Error("bad \\u escape");
-          unsigned int code = 0;
-          for (int i = 0; i < 4; ++i) {
-            char h = text_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-            else return Error("bad \\u escape");
-          }
-          out->push_back(code < 0x80 ? static_cast<char>(code) : '?');
-          break;
-        }
-        default: return Error("bad escape");
-      }
-    }
-    return Error("unterminated string");
-  }
-
-  Status ParseKeyword(JsonValue* out) {
-    auto match = [&](const char* word) {
-      std::size_t len = std::string(word).size();
-      if (text_.compare(pos_, len, word) != 0) return false;
-      pos_ += len;
-      return true;
-    };
-    if (match("true")) {
-      out->kind = JsonValue::Kind::kBool;
-      out->boolean = true;
-      return Status::Ok();
-    }
-    if (match("false")) {
-      out->kind = JsonValue::Kind::kBool;
-      out->boolean = false;
-      return Status::Ok();
-    }
-    if (match("null")) {
-      out->kind = JsonValue::Kind::kNull;
-      return Status::Ok();
-    }
-    return Error("unknown keyword");
-  }
-
-  Status ParseNumber(JsonValue* out) {
-    std::size_t start = pos_;
-    if (pos_ < text_.size() && (text_[pos_] == '-' || text_[pos_] == '+')) {
-      ++pos_;
-    }
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
-      ++pos_;
-    }
-    if (pos_ == start) return Error("expected value");
-    try {
-      out->number = std::stod(text_.substr(start, pos_ - start));
-    } catch (...) {
-      return Error("bad number");
-    }
-    out->kind = JsonValue::Kind::kNumber;
-    return Status::Ok();
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
 
 // Numeric row fields that are benchmark bookkeeping, not focq counters.
 bool IsBookkeepingField(const std::string& name) {
@@ -259,8 +63,7 @@ double RelativeChange(double base, double current) {
 }  // namespace
 
 Result<BenchRun> ParseBenchJson(const std::string& json) {
-  JsonParser parser(json);
-  Result<JsonValue> doc = parser.Parse();
+  Result<JsonValue> doc = ParseJson(json);
   if (!doc.ok()) return doc.status();
   if (doc->kind != JsonValue::Kind::kObject) {
     return Status::InvalidArgument("benchmark JSON: top level is not an object");

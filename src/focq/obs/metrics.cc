@@ -6,38 +6,6 @@
 
 namespace focq {
 
-void AppendJsonString(std::string* out, std::string_view text) {
-  out->push_back('"');
-  for (char c : text) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      case '\r':
-        *out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
-
 double ValueStats::Quantile(double q) const {
   if (count == 0) return 0.0;
   if (q <= 0.0) return static_cast<double>(min);

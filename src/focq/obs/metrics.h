@@ -28,6 +28,8 @@
 #include <string_view>
 #include <vector>
 
+#include "focq/util/json.h"
+
 namespace focq {
 
 /// Distribution summary of a recorded value stream (cluster sizes, per-type
@@ -183,10 +185,6 @@ class ShardedCounter {
   };
   std::vector<Slot> slots_;
 };
-
-/// Appends `text` to `out` as a quoted, escaped JSON string. Shared by the
-/// metrics/trace serialisers and the CLI.
-void AppendJsonString(std::string* out, std::string_view text);
 
 }  // namespace focq
 

@@ -107,8 +107,12 @@ struct QueryLogRecord {
   }
 };
 
-/// Parses one line produced by ToJsonLine (field order independent; unknown
-/// keys are skipped, so the schema can grow without breaking old replays).
+/// Parses one line produced by ToJsonLine through ParseJson (util/json.h).
+/// Field order is free and the last of duplicate keys wins; seq and client
+/// must be decimal integers that fit in uint64, the ns and cache fields in
+/// int64, trace and digest hex strings. Unknown keys may hold any value and
+/// are skipped, so the schema can grow without breaking old replays. A
+/// record without a kind is rejected.
 Result<QueryLogRecord> ParseQueryLogLine(std::string_view line);
 
 /// Asynchronous JSONL writer with a bounded queue and an optional slow-ms

@@ -25,6 +25,9 @@ std::int64_t NowNs() {
       .count();
 }
 
+// Admission queue capacity: a full queue is backpressure on the readers.
+constexpr std::size_t kAdmissionCapacity = 256;
+
 // Trace lanes: pool workers own the non-negative tids (0: coordinator), so
 // the server's own threads get negative lanes — the dispatcher at -1 and
 // reader lanes derived from the connection id below it.
@@ -60,7 +63,7 @@ Server::Server(Structure* a, const ServeOptions& options)
     : a_(a),
       options_(options),
       context_(*a),
-      queue_(options.admission_capacity) {
+      queue_(kAdmissionCapacity) {
   // The server wires its own sinks per request; caller-installed ones would
   // race across pool workers. Only the thread count of the handle survives.
   options_.eval.context = nullptr;

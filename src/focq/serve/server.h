@@ -64,8 +64,6 @@ struct ServeOptions {
   /// Hard per-request deadline in ms (0: none). Applied per request, so one
   /// runaway query costs its own client a kDeadlineExceeded, not the server.
   std::int64_t deadline_ms = 0;
-  /// Admission queue capacity; full queue = backpressure on readers.
-  std::size_t admission_capacity = 256;
   /// Request-lifecycle trace sink (null: no tracing). The server never uses
   /// Begin/End on it — lifecycle stages land via RecordSpanAt on named lanes
   /// (reader-N, dispatcher, the real pool-worker lanes), which has no

@@ -173,13 +173,14 @@ std::string CaseToCppSnippet(const DiffCase& c) {
       out += "EXPECT_EQ(*CountSolutions(phi, a, naive),\n"
              "          *CountSolutions(phi, a, local));\n";
     } else {
-      out += "Foc1Query q;  // head vars = sorted free vars\n";
+      out += "Foc1Query q;  // head vars = free vars in name order\n";
       out += "q.condition = phi;\n";
       for (const Term& t : c.head_terms) {
         out += "q.head_terms.push_back(*ParseTerm(R\"(" + ToString(t) +
                ")\"));\n";
       }
-      out += "// fill q.head_vars from FreeVars(phi) + head terms, then:\n";
+      out += "// fill q.head_vars from FreeVars(phi) + head terms, sorted\n"
+             "// by VarName, then:\n";
       out += "EXPECT_EQ(EvaluateQuery(q, a, naive)->rows,\n"
              "          EvaluateQuery(q, a, local)->rows);\n";
     }

@@ -43,12 +43,15 @@ bool IsApproxMetric(const std::string& name) {
 
 Foc1Query DiffCase::ToQuery() const {
   // Head variables are recomputed from the current condition/terms so that
-  // shrinking, which may prune variables, always yields a valid query.
+  // shrinking, which may prune variables, always yields a valid query. They
+  // are ordered by name, not by interned id, so a case file gets the same
+  // head in every process whatever it interned before.
   std::vector<Var> head = FreeVars(formula);
   for (const Term& t : head_terms) {
     for (Var v : FreeVars(t)) head.push_back(v);
   }
-  std::sort(head.begin(), head.end());
+  std::sort(head.begin(), head.end(),
+            [](Var a, Var b) { return VarName(a) < VarName(b); });
   head.erase(std::unique(head.begin(), head.end()), head.end());
   Foc1Query q;
   q.head_vars = std::move(head);

@@ -50,9 +50,10 @@ struct DiffCase {
   // rebuilds from scratch per step. Answers must be bit-identical.
   std::vector<TupleUpdate> updates;
 
-  /// The query evaluated in kQuery mode: head variables are the sorted free
-  /// variables of the condition and the head terms (recomputed on the fly so
-  /// shrinking can prune variables without invalidating the case).
+  /// The query evaluated in kQuery mode: head variables are the free
+  /// variables of the condition and the head terms in name order
+  /// (recomputed on the fly so shrinking can prune variables without
+  /// invalidating the case).
   Foc1Query ToQuery() const;
 
   /// The expression under test (formula or term node).

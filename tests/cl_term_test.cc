@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "focq/eval/naive_eval.h"
 #include "focq/graph/generators.h"
 #include "focq/locality/cl_term.h"
@@ -88,9 +90,10 @@ TEST(ClTermAlgebra, PolynomialOps) {
   ClTerm zero = ClTerm::Constant(0);
   EXPECT_TRUE(zero.IsZero());
   EXPECT_FALSE(five.IsZero());
-  ClTerm sum = ClTerm::Add(five, ClTerm::Constant(-5));
+  ClTerm sum = ClTerm::Add(five, ClTerm::Constant(-5)).value();
   EXPECT_TRUE(sum.IsZero());  // zero monomials are dropped
-  ClTerm prod = ClTerm::Mul(ClTerm::Constant(3), ClTerm::Constant(4));
+  ClTerm prod =
+      ClTerm::Mul(ClTerm::Constant(3), ClTerm::Constant(4)).value();
   EXPECT_EQ(prod.NumMonomials(), 1u);
   EXPECT_TRUE(prod.IsGround());
 
@@ -101,9 +104,25 @@ TEST(ClTermAlgebra, PolynomialOps) {
   basic.radius = 0;
   basic.pattern = PatternGraph(1, 0);
   ClTerm b = ClTerm::FromBasic(basic);
-  ClTerm combined = ClTerm::Sub(ClTerm::Mul(b, b), b);
+  ClTerm combined = ClTerm::Sub(ClTerm::Mul(b, b).value(), b).value();
   EXPECT_EQ(combined.NumBasics(), 1u);  // structural interning merges
   EXPECT_EQ(combined.NumMonomials(), 2u);
+}
+
+// A coefficient past int64 is an error, not an abort: the compiler hands it
+// on as kOutOfRange.
+TEST(ClTermAlgebra, CoefficientOverflowIsOutOfRange) {
+  constexpr CountInt kMax = std::numeric_limits<CountInt>::max();
+  ClTerm max = ClTerm::Constant(kMax);
+  ClTerm min = ClTerm::Constant(std::numeric_limits<CountInt>::min());
+  for (const Result<ClTerm>& r :
+       {ClTerm::Add(max, ClTerm::Constant(1)), ClTerm::Sub(min, max),
+        ClTerm::Mul(max, ClTerm::Constant(2)), ClTerm::Negate(min)}) {
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kOutOfRange);
+  }
+  EXPECT_TRUE(ClTerm::Add(max, ClTerm::Constant(-1)).ok());
+  EXPECT_TRUE(ClTerm::Negate(max).ok());
 }
 
 // Ball evaluation of a basic cl-term must equal naive counting of
@@ -281,9 +300,12 @@ TEST(ClTermBallEval, CombinedPolynomials) {
   PatternGraph single(1, 0);
   BasicClTerm edges{{y1, y2}, false, Atom("E", {y1, y2}), 0, edge};
   BasicClTerm reds{{y1}, false, Atom("R", {y1}), 0, single};
-  ClTerm combined = ClTerm::Sub(
-      ClTerm::Mul(ClTerm::FromBasic(edges), ClTerm::FromBasic(edges)),
-      ClTerm::FromBasic(reds));
+  ClTerm combined =
+      ClTerm::Sub(
+          ClTerm::Mul(ClTerm::FromBasic(edges), ClTerm::FromBasic(edges))
+              .value(),
+          ClTerm::FromBasic(reds))
+          .value();
   CountInt e = *naive.Evaluate(
       Count({y1, y2}, And(Atom("E", {y1, y2}),
                           DeltaFormula(edge, 1, {y1, y2}))));

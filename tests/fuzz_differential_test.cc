@@ -168,6 +168,18 @@ TEST(Differential, ShrinkIsDeterministic) {
   FAIL() << "no failing case found to shrink";
 }
 
+// A query case's head order must not depend on what the process interned
+// first: the names here are interned in reverse order.
+TEST(DiffCaseTest, QueryHeadVariablesAreOrderedByName) {
+  Var b = VarNamed("dq_head_b");
+  Var a = VarNamed("dq_head_a");
+  ASSERT_LT(b, a);
+  DiffCase c;
+  c.mode = CaseMode::kQuery;
+  c.formula = Atom("E", {b, a});
+  EXPECT_EQ(c.ToQuery().head_vars, (std::vector<Var>{a, b}));
+}
+
 TEST(CaseIo, RoundTripsEveryMode) {
   StructureGenOptions structure_options;
   structure_options.max_universe = 10;

@@ -5,7 +5,6 @@
 // renaming a key must fail here first.
 #include <gtest/gtest.h>
 
-#include <cctype>
 #include <map>
 #include <memory>
 #include <string>
@@ -17,127 +16,19 @@
 #include "focq/obs/benchdiff.h"
 #include "focq/obs/json_export.h"
 #include "focq/structure/encode.h"
+#include "focq/util/json.h"
 
 namespace focq {
 namespace {
 
-// A minimal JSON reader, just enough to validate document *shape*. Values
-// are objects, arrays, strings, numbers or booleans; no escapes beyond the
-// ones the exporters emit (\" \\ \n \t and \u00xx).
-struct Json {
-  enum Kind { kObject, kArray, kString, kNumber, kBool } kind;
-  std::map<std::string, Json> object;
-  std::vector<Json> array;
-  std::string string;
-  double number = 0;
-  bool boolean = false;
+using Kind = JsonValue::Kind;
 
-  bool Has(const std::string& key) const { return object.count(key) > 0; }
-  const Json& At(const std::string& key) const { return object.at(key); }
-};
-
-class Parser {
- public:
-  explicit Parser(const std::string& text) : text_(text) {}
-
-  Json Parse() {
-    Json v = ParseValue();
-    Skip();
-    EXPECT_EQ(pos_, text_.size()) << "trailing bytes after JSON document";
-    return v;
-  }
-
- private:
-  void Skip() {
-    while (pos_ < text_.size() && std::isspace(
-               static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  char Peek() {
-    Skip();
-    EXPECT_LT(pos_, text_.size()) << "unexpected end of JSON";
-    return pos_ < text_.size() ? text_[pos_] : '\0';
-  }
-
-  void Expect(char c) {
-    EXPECT_EQ(Peek(), c) << "at byte " << pos_;
-    ++pos_;
-  }
-
-  std::string ParseString() {
-    Expect('"');
-    std::string out;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      if (text_[pos_] == '\\') ++pos_;  // keep escaped char verbatim
-      out += text_[pos_++];
-    }
-    Expect('"');
-    return out;
-  }
-
-  Json ParseValue() {
-    Json v;
-    switch (Peek()) {
-      case '{': {
-        v.kind = Json::kObject;
-        Expect('{');
-        if (Peek() != '}') {
-          while (true) {
-            std::string key = ParseString();
-            Expect(':');
-            v.object.emplace(key, ParseValue());
-            if (Peek() != ',') break;
-            Expect(',');
-          }
-        }
-        Expect('}');
-        return v;
-      }
-      case '[': {
-        v.kind = Json::kArray;
-        Expect('[');
-        if (Peek() != ']') {
-          while (true) {
-            v.array.push_back(ParseValue());
-            if (Peek() != ',') break;
-            Expect(',');
-          }
-        }
-        Expect(']');
-        return v;
-      }
-      case '"':
-        v.kind = Json::kString;
-        v.string = ParseString();
-        return v;
-      case 't':
-      case 'f':
-        v.kind = Json::kBool;
-        v.boolean = text_[pos_] == 't';
-        pos_ += v.boolean ? 4 : 5;
-        return v;
-      default: {
-        v.kind = Json::kNumber;
-        std::size_t start = pos_;
-        while (pos_ < text_.size() &&
-               (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-                text_[pos_] == '-' || text_[pos_] == '+' ||
-                text_[pos_] == '.' || text_[pos_] == 'e' ||
-                text_[pos_] == 'E')) {
-          ++pos_;
-        }
-        EXPECT_GT(pos_, start) << "not a JSON value at byte " << start;
-        v.number = std::stod(text_.substr(start, pos_ - start));
-        return v;
-      }
-    }
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
+// `text` read by the one JSON reader; a parse error fails the test.
+JsonValue Parse(const std::string& text) {
+  Result<JsonValue> doc = ParseJson(text);
+  EXPECT_TRUE(doc.ok()) << doc.status().ToString();
+  return doc.ok() ? *doc : JsonValue{};
+}
 
 // Produces one real evaluation's sinks: metrics + trace of a pipeline run
 // that exercises counting terms (so counters and spans are non-empty).
@@ -154,10 +45,10 @@ void RunInstrumented(MetricsSink* metrics, TraceSink* trace) {
   ASSERT_TRUE(n.ok()) << n.status().ToString();
 }
 
-void ExpectIntegerMap(const Json& v, const std::string& label) {
-  ASSERT_EQ(v.kind, Json::kObject) << label;
+void ExpectIntegerMap(const JsonValue& v, const std::string& label) {
+  ASSERT_EQ(v.kind, Kind::kObject) << label;
   for (const auto& [key, value] : v.object) {
-    EXPECT_EQ(value.kind, Json::kNumber) << label << "." << key;
+    EXPECT_EQ(value.kind, Kind::kNumber) << label << "." << key;
   }
 }
 
@@ -166,115 +57,115 @@ TEST(JsonSchema, MetricsDocument) {
   TraceSink trace;
   RunInstrumented(&metrics, &trace);
   std::string text = ComposeMetricsJson(metrics.Snapshot(), trace);
-  Json doc = Parser(text).Parse();
+  JsonValue doc = Parse(text);
 
   // The contract: exactly these four top-level keys.
-  ASSERT_EQ(doc.kind, Json::kObject);
+  ASSERT_EQ(doc.kind, Kind::kObject);
   EXPECT_EQ(doc.object.size(), 4u);
-  ASSERT_TRUE(doc.Has("counters"));
-  ASSERT_TRUE(doc.Has("values"));
-  ASSERT_TRUE(doc.Has("phase_ns"));
-  ASSERT_TRUE(doc.Has("pool"));
+  ASSERT_NE(doc.Find("counters"), nullptr);
+  ASSERT_NE(doc.Find("values"), nullptr);
+  ASSERT_NE(doc.Find("phase_ns"), nullptr);
+  ASSERT_NE(doc.Find("pool"), nullptr);
 
-  ExpectIntegerMap(doc.At("counters"), "counters");
-  EXPECT_FALSE(doc.At("counters").object.empty());
+  ExpectIntegerMap(*doc.Find("counters"), "counters");
+  EXPECT_FALSE(doc.Find("counters")->object.empty());
 
-  const Json& values = doc.At("values");
-  ASSERT_EQ(values.kind, Json::kObject);
+  const JsonValue& values = *doc.Find("values");
+  ASSERT_EQ(values.kind, Kind::kObject);
   for (const auto& [name, stats] : values.object) {
-    ASSERT_EQ(stats.kind, Json::kObject) << "values." << name;
+    ASSERT_EQ(stats.kind, Kind::kObject) << "values." << name;
     EXPECT_EQ(stats.object.size(), 8u) << "values." << name;
     for (const char* key :
          {"count", "sum", "min", "max", "mean", "p50", "p95", "p99"}) {
-      ASSERT_TRUE(stats.Has(key)) << "values." << name << "." << key;
-      EXPECT_EQ(stats.At(key).kind, Json::kNumber);
+      ASSERT_NE(stats.Find(key), nullptr) << "values." << name << "." << key;
+      EXPECT_EQ(stats.Find(key)->kind, Kind::kNumber);
     }
   }
 
-  ExpectIntegerMap(doc.At("phase_ns"), "phase_ns");
-  EXPECT_TRUE(doc.At("phase_ns").Has("query_eval"));
+  ExpectIntegerMap(*doc.Find("phase_ns"), "phase_ns");
+  EXPECT_NE(doc.Find("phase_ns")->Find("query_eval"), nullptr);
 
-  const Json& pool = doc.At("pool");
-  ASSERT_EQ(pool.kind, Json::kObject);
+  const JsonValue& pool = *doc.Find("pool");
+  ASSERT_EQ(pool.kind, Kind::kObject);
   EXPECT_EQ(pool.object.size(), 5u);
   for (const char* key :
        {"workers", "tasks_submitted", "tasks_executed", "steals", "busy_ns"}) {
-    ASSERT_TRUE(pool.Has(key)) << "pool." << key;
-    EXPECT_EQ(pool.At(key).kind, Json::kNumber) << "pool." << key;
+    ASSERT_NE(pool.Find(key), nullptr) << "pool." << key;
+    EXPECT_EQ(pool.Find(key)->kind, Kind::kNumber) << "pool." << key;
   }
 }
 
-void ExpectSpanShape(const Json& span) {
-  ASSERT_EQ(span.kind, Json::kObject);
+void ExpectSpanShape(const JsonValue& span) {
+  ASSERT_EQ(span.kind, Kind::kObject);
   for (const char* key : {"name", "start_ns", "duration_ns", "children"}) {
-    ASSERT_TRUE(span.Has(key)) << "span." << key;
+    ASSERT_NE(span.Find(key), nullptr) << "span." << key;
   }
-  EXPECT_EQ(span.At("name").kind, Json::kString);
-  EXPECT_EQ(span.At("start_ns").kind, Json::kNumber);
-  EXPECT_EQ(span.At("duration_ns").kind, Json::kNumber);
-  ASSERT_EQ(span.At("children").kind, Json::kArray);
-  for (const Json& child : span.At("children").array) ExpectSpanShape(child);
+  EXPECT_EQ(span.Find("name")->kind, Kind::kString);
+  EXPECT_EQ(span.Find("start_ns")->kind, Kind::kNumber);
+  EXPECT_EQ(span.Find("duration_ns")->kind, Kind::kNumber);
+  ASSERT_EQ(span.Find("children")->kind, Kind::kArray);
+  for (const auto& child : span.Find("children")->array) ExpectSpanShape(child);
 }
 
 TEST(JsonSchema, TraceDocument) {
   MetricsSink metrics;
   TraceSink trace;
   RunInstrumented(&metrics, &trace);
-  Json doc = Parser(ComposeTraceJson(trace)).Parse();
+  JsonValue doc = Parse(ComposeTraceJson(trace));
 
-  ASSERT_EQ(doc.kind, Json::kObject);
+  ASSERT_EQ(doc.kind, Kind::kObject);
   EXPECT_EQ(doc.object.size(), 2u);
-  ASSERT_TRUE(doc.Has("spans"));
-  ASSERT_TRUE(doc.Has("traceEvents"));
+  ASSERT_NE(doc.Find("spans"), nullptr);
+  ASSERT_NE(doc.Find("traceEvents"), nullptr);
 
-  const Json& spans = doc.At("spans");
-  ASSERT_EQ(spans.kind, Json::kArray);
+  const JsonValue& spans = *doc.Find("spans");
+  ASSERT_EQ(spans.kind, Kind::kArray);
   ASSERT_FALSE(spans.array.empty());
-  for (const Json& span : spans.array) ExpectSpanShape(span);
-  EXPECT_EQ(spans.array[0].At("name").string, "query_eval");
+  for (const JsonValue& span : spans.array) ExpectSpanShape(span);
+  EXPECT_EQ(spans.array[0].Find("name")->str, "query_eval");
 
-  const Json& events = doc.At("traceEvents");
-  ASSERT_EQ(events.kind, Json::kArray);
+  const JsonValue& events = *doc.Find("traceEvents");
+  ASSERT_EQ(events.kind, Kind::kArray);
   ASSERT_FALSE(events.array.empty());
   bool saw_complete = false;
-  for (const Json& event : events.array) {
-    ASSERT_EQ(event.kind, Json::kObject);
-    ASSERT_TRUE(event.Has("ph"));
-    const std::string& ph = event.At("ph").string;
+  for (const JsonValue& event : events.array) {
+    ASSERT_EQ(event.kind, Kind::kObject);
+    ASSERT_NE(event.Find("ph"), nullptr);
+    const std::string& ph = event.Find("ph")->str;
     if (ph == "M") {
       // Thread-name metadata for the worker lanes.
-      EXPECT_EQ(event.At("name").string, "thread_name");
+      EXPECT_EQ(event.Find("name")->str, "thread_name");
       for (const char* key : {"pid", "tid", "args"}) {
-        ASSERT_TRUE(event.Has(key)) << "traceEvent." << key;
+        ASSERT_NE(event.Find(key), nullptr) << "traceEvent." << key;
       }
-      ASSERT_TRUE(event.At("args").Has("name"));
+      ASSERT_NE(event.Find("args")->Find("name"), nullptr);
       continue;
     }
     EXPECT_EQ(ph, "X");
     saw_complete = true;
     for (const char* key : {"name", "pid", "tid", "ts", "dur"}) {
-      ASSERT_TRUE(event.Has(key)) << "traceEvent." << key;
+      ASSERT_NE(event.Find(key), nullptr) << "traceEvent." << key;
     }
   }
   EXPECT_TRUE(saw_complete);
 }
 
-void ExpectExplainNodeShape(const Json& node) {
-  ASSERT_EQ(node.kind, Json::kObject);
+void ExpectExplainNodeShape(const JsonValue& node) {
+  ASSERT_EQ(node.kind, Kind::kObject);
   EXPECT_EQ(node.object.size(), 8u);
   for (const char* key : {"id", "parent", "duration_ns", "bytes_peak"}) {
-    ASSERT_TRUE(node.Has(key)) << "node." << key;
-    EXPECT_EQ(node.At(key).kind, Json::kNumber) << "node." << key;
+    ASSERT_NE(node.Find(key), nullptr) << "node." << key;
+    EXPECT_EQ(node.Find(key)->kind, Kind::kNumber) << "node." << key;
   }
   for (const char* key : {"kind", "label"}) {
-    ASSERT_TRUE(node.Has(key)) << "node." << key;
-    EXPECT_EQ(node.At(key).kind, Json::kString) << "node." << key;
+    ASSERT_NE(node.Find(key), nullptr) << "node." << key;
+    EXPECT_EQ(node.Find(key)->kind, Kind::kString) << "node." << key;
   }
-  ASSERT_TRUE(node.Has("counters"));
-  ExpectIntegerMap(node.At("counters"), "node.counters");
-  ASSERT_TRUE(node.Has("children"));
-  ASSERT_EQ(node.At("children").kind, Json::kArray);
-  for (const Json& child : node.At("children").array) {
+  ASSERT_NE(node.Find("counters"), nullptr);
+  ExpectIntegerMap(*node.Find("counters"), "node.counters");
+  ASSERT_NE(node.Find("children"), nullptr);
+  ASSERT_EQ(node.Find("children")->kind, Kind::kArray);
+  for (const JsonValue& child : node.Find("children")->array) {
     ExpectExplainNodeShape(child);
   }
 }
@@ -293,23 +184,23 @@ TEST(JsonSchema, ExplainDocument) {
   ASSERT_TRUE(n.ok()) << n.status().ToString();
 
   std::string text = ComposeExplainJson(explain.Snapshot());
-  Json doc = Parser(text).Parse();
+  JsonValue doc = Parse(text);
 
-  ASSERT_EQ(doc.kind, Json::kObject);
+  ASSERT_EQ(doc.kind, Kind::kObject);
   EXPECT_EQ(doc.object.size(), 1u);
-  ASSERT_TRUE(doc.Has("explain"));
-  const Json& body = doc.At("explain");
-  ASSERT_EQ(body.kind, Json::kObject);
+  ASSERT_NE(doc.Find("explain"), nullptr);
+  const JsonValue& body = *doc.Find("explain");
+  ASSERT_EQ(body.kind, Kind::kObject);
   EXPECT_EQ(body.object.size(), 2u);
-  ASSERT_TRUE(body.Has("analyzed"));
-  EXPECT_EQ(body.At("analyzed").kind, Json::kBool);
-  EXPECT_TRUE(body.At("analyzed").boolean);
-  ASSERT_TRUE(body.Has("nodes"));
-  ASSERT_EQ(body.At("nodes").kind, Json::kArray);
-  ASSERT_FALSE(body.At("nodes").array.empty());
-  for (const Json& node : body.At("nodes").array) {
+  ASSERT_NE(body.Find("analyzed"), nullptr);
+  EXPECT_EQ(body.Find("analyzed")->kind, Kind::kBool);
+  EXPECT_TRUE(body.Find("analyzed")->boolean);
+  ASSERT_NE(body.Find("nodes"), nullptr);
+  ASSERT_EQ(body.Find("nodes")->kind, Kind::kArray);
+  ASSERT_FALSE(body.Find("nodes")->array.empty());
+  for (const JsonValue& node : body.Find("nodes")->array) {
     ExpectExplainNodeShape(node);
-    EXPECT_EQ(node.At("parent").number, -1) << "top-level nodes are roots";
+    EXPECT_EQ(node.Find("parent")->number, -1) << "top-level nodes are roots";
   }
 }
 
@@ -363,35 +254,35 @@ TEST(JsonSchema, BenchdiffReport) {
   EXPECT_DOUBLE_EQ(report.compared[0].time_ratio, 2.0);
   ASSERT_EQ(report.compared[0].counter_changes.count("clusters"), 1u);
 
-  Json doc = Parser(report.ToJson()).Parse();
-  ASSERT_EQ(doc.kind, Json::kObject);
-  ASSERT_TRUE(doc.Has("benchdiff"));
-  const Json& body = doc.At("benchdiff");
-  ASSERT_EQ(body.kind, Json::kObject);
+  JsonValue doc = Parse(report.ToJson());
+  ASSERT_EQ(doc.kind, Kind::kObject);
+  ASSERT_NE(doc.Find("benchdiff"), nullptr);
+  const JsonValue& body = *doc.Find("benchdiff");
+  ASSERT_EQ(body.kind, Kind::kObject);
   EXPECT_EQ(body.object.size(), 9u);
   for (const char* key : {"time_threshold", "counter_threshold", "compared",
                           "regressions", "improvements", "counter_changes"}) {
-    ASSERT_TRUE(body.Has(key)) << "benchdiff." << key;
-    EXPECT_EQ(body.At(key).kind, Json::kNumber) << "benchdiff." << key;
+    ASSERT_NE(body.Find(key), nullptr) << "benchdiff." << key;
+    EXPECT_EQ(body.Find(key)->kind, Kind::kNumber) << "benchdiff." << key;
   }
-  EXPECT_EQ(body.At("regressions").number, 1);
+  EXPECT_EQ(body.Find("regressions")->number, 1);
   for (const char* key : {"added", "removed", "entries"}) {
-    ASSERT_TRUE(body.Has(key)) << "benchdiff." << key;
-    ASSERT_EQ(body.At(key).kind, Json::kArray) << "benchdiff." << key;
+    ASSERT_NE(body.Find(key), nullptr) << "benchdiff." << key;
+    ASSERT_EQ(body.Find(key)->kind, Kind::kArray) << "benchdiff." << key;
   }
-  ASSERT_EQ(body.At("entries").array.size(), 1u);
-  const Json& entry = body.At("entries").array[0];
+  ASSERT_EQ(body.Find("entries")->array.size(), 1u);
+  const JsonValue& entry = body.Find("entries")->array[0];
   EXPECT_EQ(entry.object.size(), 8u);
   for (const char* key :
        {"name", "base_time", "current_time", "time_unit", "time_ratio",
         "regression", "improvement", "counter_changes"}) {
-    ASSERT_TRUE(entry.Has(key)) << "entry." << key;
+    ASSERT_NE(entry.Find(key), nullptr) << "entry." << key;
   }
-  EXPECT_TRUE(entry.At("regression").boolean);
-  ASSERT_TRUE(entry.At("counter_changes").Has("clusters"));
-  const Json& change = entry.At("counter_changes").At("clusters");
-  EXPECT_DOUBLE_EQ(change.At("base").number, 5.0);
-  EXPECT_DOUBLE_EQ(change.At("current").number, 7.0);
+  EXPECT_TRUE(entry.Find("regression")->boolean);
+  ASSERT_NE(entry.Find("counter_changes")->Find("clusters"), nullptr);
+  const JsonValue& change = *entry.Find("counter_changes")->Find("clusters");
+  EXPECT_DOUBLE_EQ(change.Find("base")->number, 5.0);
+  EXPECT_DOUBLE_EQ(change.Find("current")->number, 7.0);
 
   // The markdown report carries the same verdicts.
   std::string md = report.ToMarkdown();
@@ -445,10 +336,10 @@ TEST(Benchdiff, WarnsOnlyWhenTwoStampsDiffer) {
   EXPECT_TRUE(DiffBenchRuns(*stamped, *later).BuildDifferences().empty())
       << "a different commit alone is not a different build";
 
-  Json doc = Parser(mixed.ToJson()).Parse();
-  ASSERT_TRUE(doc.Has("builds"));
-  EXPECT_TRUE(doc.At("builds").At("base").object.empty());
-  EXPECT_EQ(doc.At("builds").At("current").At("focq_build_type").string,
+  JsonValue doc = Parse(mixed.ToJson());
+  ASSERT_NE(doc.Find("builds"), nullptr);
+  EXPECT_TRUE(doc.Find("builds")->Find("base")->object.empty());
+  EXPECT_EQ(doc.Find("builds")->Find("current")->Find("focq_build_type")->str,
             "Release");
 
   BenchDiffReport differ = DiffBenchRuns(*stamped, *other);

@@ -270,6 +270,31 @@ TEST(CancellationTest, CoverEngineStopsInsideOneCluster) {
   }
 }
 
+TEST(CancellationTest, MultiHeadQueryStopsWhileListingCandidates) {
+  // !E(x, y) restricts neither head variable, so a 1,500-element path has
+  // 2.25 million candidate head tuples: listing them all is far past a 1 ms
+  // budget, and the listing itself must notice the expiry.
+  Structure a = EncodeGraph(MakePath(1500));
+  Var x = VarNamed("mhx"), y = VarNamed("mhy");
+  Foc1Query q;
+  q.head_vars = {x, y};
+  q.condition = Not(Atom("E", {x, y}));
+  for (int threads : {1, 4}) {
+    MetricsSink metrics;
+    EvalOptions options;
+    options.num_threads = threads;
+    options.metrics = &metrics;
+    options.deadline = Deadline{0, 1};
+    Result<QueryResult> got = EvaluateQuery(q, a, options);
+    ASSERT_FALSE(got.ok()) << "threads=" << threads;
+    EXPECT_EQ(got.status().code(), StatusCode::kDeadlineExceeded)
+        << got.status().ToString();
+    EXPECT_EQ(metrics.Snapshot().counters.count("query.candidates_verified"),
+              0u)
+        << "threads=" << threads;
+  }
+}
+
 // --- End-to-end: no partial cache writes; warm-after-cancel == cold --------
 
 TEST(CancellationTest, WarmRunAfterCancellationMatchesColdRun) {

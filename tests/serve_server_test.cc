@@ -404,6 +404,49 @@ TEST(ServeServerTest, MalformedBodyKeepsConnectionUsable) {
   EXPECT_EQ(counters.count("serve.protocol_errors.framing"), 0u);
 }
 
+// An int64 overflow costs the client that sent it an OUT_OF_RANGE response,
+// not the server: the next statement on the same connection is answered,
+// under every engine.
+TEST(ServeServerTest, OverflowIsAnErrorResponseAndServingContinues) {
+  struct EngineCase {
+    const char* name;
+    Engine engine;
+    TermEngine term_engine;
+  };
+  for (const EngineCase& e :
+       {EngineCase{"naive", Engine::kNaive, TermEngine::kBall},
+        EngineCase{"local", Engine::kLocal, TermEngine::kBall},
+        EngineCase{"cover", Engine::kLocal, TermEngine::kSparseCover},
+        EngineCase{"approx", Engine::kApprox, TermEngine::kBall}}) {
+    Structure served = MakePathStructure(3);  // made undirected
+    served.InsertTuple(0, {1, 0});
+    served.InsertTuple(0, {2, 1});
+    ServeOptions options;
+    options.eval.engine = e.engine;
+    options.eval.term_engine = e.term_engine;
+    Server server(&served, options);
+    ASSERT_TRUE(server.Start().ok());
+    std::vector<Observed> got = RunClient(
+        server.port(),
+        {{FrameKind::kCheck, "@ge1(9223372036854775807 + 1)"},
+         {FrameKind::kCount,
+          "@ge1(9223372036854775807 * #(y). (exists z. (E(x, z) & E(z, y))))"},
+         {FrameKind::kCount, "E(x, y)"}});
+    server.Stop();
+    ASSERT_EQ(got.size(), 3u) << e.name;
+    std::sort(got.begin(), got.end(), [](const Observed& a, const Observed& b) {
+      return a.seq < b.seq;
+    });
+    for (int i : {0, 1}) {
+      EXPECT_FALSE(got[i].ok) << e.name;
+      EXPECT_EQ(got[i].text.rfind("OUT_OF_RANGE: ", 0), 0u)
+          << e.name << ": " << got[i].text;
+    }
+    EXPECT_TRUE(got[2].ok) << e.name;
+    EXPECT_EQ(got[2].text, "4") << e.name;
+  }
+}
+
 TEST(ServeServerTest, MetricsEndpointServesOpenMetrics) {
   Structure served = MakePathStructure(6);
   ServeOptions options;

@@ -83,6 +83,41 @@ TEST(Statement, CanonicalResponseAndErrorTexts) {
             "16");
 }
 
+// An int64 overflow inside a numerical predicate is kOutOfRange under every
+// engine: never an abort, and never a predicate silently counted as false.
+TEST(Statement, OverflowIsOutOfRangeOnEveryEngine) {
+  Structure a = Path(3);  // made undirected, as `focq_cli --edges` reads it
+  a.InsertTuple(0, {1, 0});
+  a.InsertTuple(0, {2, 1});
+  struct EngineCase {
+    const char* name;
+    Engine engine;
+    TermEngine term_engine;
+  };
+  for (const EngineCase& e :
+       {EngineCase{"naive", Engine::kNaive, TermEngine::kBall},
+        EngineCase{"local", Engine::kLocal, TermEngine::kBall},
+        EngineCase{"cover", Engine::kLocal, TermEngine::kSparseCover},
+        EngineCase{"approx", Engine::kApprox, TermEngine::kBall}}) {
+    EvalOptions options;
+    options.engine = e.engine;
+    options.term_engine = e.term_engine;
+    for (const auto& [kind, text] :
+         std::vector<std::pair<StatementKind, std::string>>{
+             {StatementKind::kCheck, "@ge1(9223372036854775807 + 1)"},
+             {StatementKind::kCheck,
+              "@ge1(9223372036854775807 * #(y). (exists z. (E(y, z))))"},
+             {StatementKind::kCount,
+              "@ge1(9223372036854775807 * "
+              "#(y). (exists z. (E(x, z) & E(z, y))))"}}) {
+      Result<std::string> r = ExecuteStatement(kind, text, a, options);
+      ASSERT_FALSE(r.ok()) << e.name << ": " << text << " = " << *r;
+      EXPECT_EQ(r.status().code(), StatusCode::kOutOfRange)
+          << e.name << ": " << text << ": " << r.status().ToString();
+    }
+  }
+}
+
 TEST(Statement, UpdateWithoutWritableStructureIsUnsupported) {
   Structure a = Path(3);
   EvalContext context(a);

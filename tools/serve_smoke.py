@@ -54,8 +54,10 @@ relation E 2
 # Three clients, mixed workloads. Updates are included on purpose — they
 # force the snapshot gate's writer side between concurrent reads — and so
 # are statements that fail: at apply time (element 50 is out of bounds), at
-# parse time and at symbol resolution (there is no relation Q), because
-# error texts are part of the bit-identity contract and the serial
+# parse time, at symbol resolution (there is no relation Q) and on int64
+# overflow inside a numerical predicate (a constant sum, a residual check
+# and a per-element count, each OUT_OF_RANGE rather than a server abort),
+# because error texts are part of the bit-identity contract and the serial
 # focq_cli --batch replay must answer them the same way.
 CLIENT_BATCHES = [
     [
@@ -77,8 +79,11 @@ CLIENT_BATCHES = [
         "count E(x, y)",
         "update insert E 0 50",
         "check (((broken",
+        "check @ge1(9223372036854775807 + 1)",
         "update delete E 4 5",
         "count Q(x)",
+        "check @ge1(9223372036854775807 * #(y). (exists z. (E(y, z))))",
+        "count @ge1(9223372036854775807 * #(y). (E(x, y) | E(y, x)))",
         "count E(x, y)",
     ],
 ]
